@@ -102,7 +102,7 @@ def _answer_one(query: Query, budget: int) -> bool:
         candidate = int(query.payload["candidate"])
         if not 0 <= candidate < e.num_candidates:
             raise ValueError(f"candidate {candidate} out of range")
-        return elections.score_at_most(e, candidate, int(query.payload["k"]))
+        return elections.score_at_most(e, candidate, int(query.payload["k"]), budget)
     if query.kind == "alpha_geq":
         g = _graph_from_payload(query.payload["graph"])
         return graphs.independence_number(g, budget) >= int(query.payload["k"])

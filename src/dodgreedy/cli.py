@@ -42,7 +42,7 @@ def _parse_ratio(text: str) -> Fraction:
 def _cmd_election_score(args) -> int:
     e = _load_election(args.election)
     c = e.id_of(args.candidate)
-    cert = elections.carroll_score(e, c)
+    cert = elections.carroll_score(e, c, args.budget)
     print(f"score {e.name_of(c)} = {cert.score}")
     return 0
 
@@ -51,10 +51,10 @@ def _cmd_election_winner(args) -> int:
     e = _load_election(args.election)
     if args.candidate is not None:
         c = e.id_of(args.candidate)
-        verdict = "yes" if elections.is_carroll_winner(e, c) else "no"
+        verdict = "yes" if elections.is_carroll_winner(e, c, args.budget) else "no"
         print(f"winner {e.name_of(c)} = {verdict}")
     else:
-        winners = sorted(elections.all_winners(e))
+        winners = sorted(elections.all_winners(e, args.budget))
         print(f"winner = {' '.join(e.name_of(c) for c in winners)}")
     return 0
 
@@ -150,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     budget = {"--budget": {"type": int, "default": DEFAULT_BUDGET, "metavar": "STATES"}}
     emit = {"--emit-artifact": {"metavar": "PATH"}}
 
-    add("election-score", _cmd_election_score, **election,
+    add("election-score", _cmd_election_score, **election, **budget,
         **{"--candidate": {"required": True, "metavar": "NAME"}})
-    add("election-winner", _cmd_election_winner, **election,
+    add("election-winner", _cmd_election_winner, **election, **budget,
         **{"--candidate": {"metavar": "NAME"}})
     add("condorcet", _cmd_condorcet, **election)
     add("graph-alpha", _cmd_graph_alpha, **graph, **budget)

@@ -3,7 +3,8 @@
 A candidate's Carroll score is the minimum number of exchanges of adjacent
 candidates in voters' preference orders needed to make that candidate beat
 every rival in pairwise majority contests.  Scores are computed exactly by
-branch and bound over per-voter raise amounts; every certificate carries a
+a dynamic program over per-voter raise amounts and the majority deficits
+they leave, under an explicit state budget; every certificate carries a
 replayable swap witness.
 """
 
@@ -11,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .errors import BudgetExceededError
+from .graphs import DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -138,96 +142,143 @@ def condorcet_winner(e: Election) -> int | None:
     return None
 
 
-def apply_swap(e: Election, voter: int, position: int) -> Election:
-    """Exchange the adjacent entries at position and position+1 of one ranking."""
-    ranking = list(e.voters[voter].ranking)
+def _swap(ranking: list[int], position: int) -> None:
     if not 0 <= position < len(ranking) - 1:
         raise ValueError(f"no adjacent pair at position {position}")
     ranking[position], ranking[position + 1] = ranking[position + 1], ranking[position]
+
+
+def _with_rankings(e: Election, rankings: dict[int, list[int]]) -> Election:
     voters = list(e.voters)
-    voters[voter] = PreferenceOrder(tuple(ranking))
+    for voter, ranking in rankings.items():
+        voters[voter] = PreferenceOrder(tuple(ranking))
     return Election(e.candidates, tuple(voters))
+
+
+def apply_swap(e: Election, voter: int, position: int) -> Election:
+    """Exchange the adjacent entries at position and position+1 of one ranking."""
+    ranking = list(e.voters[voter].ranking)
+    _swap(ranking, position)
+    return _with_rankings(e, {voter: ranking})
 
 
 def apply_raise(e: Election, candidate: int, voter: int, steps: int) -> Election:
     """Move a candidate up `steps` adjacent positions in one voter's ranking."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    pos = e.voters[voter].position_of(candidate)
+    ranking = list(e.voters[voter].ranking)
+    pos = ranking.index(candidate)
     if steps > pos:
         raise ValueError(
             f"candidate {candidate} sits at depth {pos} in voter {voter}, cannot raise {steps}"
         )
-    for offset in range(1, steps + 1):
-        e = apply_swap(e, voter, pos - offset)
-    return e
+    ranking[pos - steps : pos + 1] = [candidate] + ranking[pos - steps : pos]
+    return _with_rankings(e, {voter: ranking})
 
 
 def replay_witness(e: Election, cert: ScoreCertificate) -> Election:
     """Apply a certificate's swap steps in order to the election."""
+    rankings: dict[int, list[int]] = {}
     for voter, position in cert.witness:
-        e = apply_swap(e, voter, position)
-    return e
+        if voter not in rankings:
+            rankings[voter] = list(e.voters[voter].ranking)
+        _swap(rankings[voter], position)
+    return _with_rankings(e, rankings)
 
 
-def _solve_min_raises(e: Election, c: int) -> tuple[int, tuple[int, ...]]:
+def _solve_min_raises(e: Election, c: int, budget: int) -> tuple[int, tuple[int, ...]]:
     """Minimum total raises of c making it beat every rival, with per-voter amounts.
 
     Only raises of c are searched: swaps not involving c leave its pairwise
     contests unchanged and lowering c never helps, so one raise amount per
     voter covers the optimum (the BFS oracle over arbitrary swaps confirms
     this on small instances).
+
+    A dynamic program over states (voter index i, deficit vector D), where
+    D[d] is how many more voters must rank c above rival d for a majority.
+    Raising c by t in voter i passes the t rivals just above it, each
+    lowering its deficit by one; the cheapest state at voter i + 1 is kept.
+    Layers are filled forward, one per voter, so nothing recurses.  Two
+    cuts keep it exact: a raise that stops right after passing a rival with
+    no deficit costs more than stopping one step earlier and reaches the
+    same state, and a state whose deficit against d exceeds the voters left
+    that rank d above c can never reach the all-zero vector.  Every stored
+    state counts against `budget`.
     """
     m = e.num_candidates
     n = e.num_voters
     tally = pairwise_tally(e)
     majority = n // 2 + 1
-    needs = [max(0, majority - tally[c][d]) if d != c else 0 for d in range(m)]
-    if not any(needs):
+    start = tuple(max(0, majority - tally[c][d]) if d != c else 0 for d in range(m))
+    if not any(start):
         return 0, (0,) * n
+    goal = (0,) * m
 
-    # gains[i][t-1] = rival overtaken by the t-th raise step in voter i
-    gains = []
+    # above[i] = rivals ranked above c by voter i, nearest first; slack[i][d]
+    # = voters from i on that rank d above c (the most d's deficit can fall)
+    above = []
     for voter in e.voters:
         pos = voter.position_of(c)
-        gains.append([voter.ranking[pos - t] for t in range(1, pos + 1)])
+        above.append(voter.ranking[:pos][::-1])
+    slack = [[0] * m]
+    for row in reversed(above):
+        slack.append(slack[-1][:])
+        for d in row:
+            slack[-1][d] += 1
+    slack.reverse()
 
-    best_cost = sum(len(g) for g in gains) + 1
-    best_raises: list[int] = []
+    # layers[i][state] = (cost, state at voter i - 1, raise at voter i - 1)
+    layers: list[dict] = [{start: (0, None, 0)}]
+    stored = 1
+    for i in range(n):
+        row = above[i]
+        room = slack[i + 1]
+        layer: dict = {}
+        for state, (cost, _, _) in layers[i].items():
+            # raise at least past every rival whose deficit would otherwise
+            # outlast the voters left
+            least = 0
+            for t, d in enumerate(row, 1):
+                if state[d] > room[d]:
+                    least = t
+            deficits = list(state)
+            for t in range(len(row) + 1):
+                if t:
+                    d = row[t - 1]
+                    if not deficits[d]:
+                        continue
+                    deficits[d] -= 1
+                if t < least:
+                    continue
+                key = tuple(deficits)
+                held = layer.get(key)
+                if held is None:
+                    if stored >= budget:
+                        raise BudgetExceededError("Carroll score", budget)
+                    stored += 1
+                elif held[0] <= cost + t:
+                    continue
+                layer[key] = (cost + t, state, t)
+        layers.append(layer)
 
-    def search(i: int, cost: int, raises: list[int]) -> None:
-        nonlocal best_cost, best_raises
-        remaining = max(needs)
-        if cost + remaining >= best_cost:
-            return
-        if remaining == 0:
-            best_cost = cost
-            best_raises = raises + [0] * (n - len(raises))
-            return
-        if i == n:
-            return
-        row = gains[i]
-        undo = []
-        for t in range(len(row) + 1):
-            if t:
-                d = row[t - 1]
-                undo.append((d, needs[d]))
-                needs[d] = max(0, needs[d] - 1)
-            search(i + 1, cost + t, raises + [t])
-        for d, previous in reversed(undo):
-            needs[d] = previous
-
-    search(0, 0, [])
-    if not best_raises and best_cost:  # pragma: no cover - raising to all tops always works
-        raise AssertionError("no feasible raise assignment found")
-    return best_cost, tuple(best_raises)
+    # the all-zero vector only ever steps on with t = 0, so it reaches the
+    # last layer at its cheapest cost
+    raises = [0] * n
+    state = goal
+    for i in range(n, 0, -1):
+        _, state, raises[i - 1] = layers[i][state]
+    return layers[n][goal][0], tuple(raises)
 
 
-def carroll_score(e: Election, c: int) -> ScoreCertificate:
-    """Exact Carroll score of candidate c with a replayable swap witness."""
+def carroll_score(e: Election, c: int, budget: int = DEFAULT_BUDGET) -> ScoreCertificate:
+    """Exact Carroll score of candidate c with a replayable swap witness.
+
+    Raises BudgetExceededError when the DP would store more than `budget`
+    states.
+    """
     if not 0 <= c < e.num_candidates:
         raise ValueError(f"no candidate with id {c}")
-    score, raises = _solve_min_raises(e, c)
+    score, raises = _solve_min_raises(e, c, budget)
     witness = []
     for voter, steps in enumerate(raises):
         pos = e.voters[voter].position_of(c)
@@ -235,28 +286,30 @@ def carroll_score(e: Election, c: int) -> ScoreCertificate:
     return ScoreCertificate(c, score, tuple(witness))
 
 
-def score_at_most(e: Election, c: int, k: int) -> bool:
+def score_at_most(e: Election, c: int, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether c's Carroll score is at most k."""
-    return carroll_score(e, c).score <= k
+    return carroll_score(e, c, budget).score <= k
 
 
-def ties_or_defeats(e: Election, c: int, d: int) -> bool:
+def ties_or_defeats(e: Election, c: int, d: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether d's score is no smaller than c's."""
     if c == d:
         raise ValueError("a candidate cannot face itself")
-    return carroll_score(e, d).score >= carroll_score(e, c).score
+    return carroll_score(e, d, budget).score >= carroll_score(e, c, budget).score
 
 
-def is_carroll_winner(e: Election, c: int) -> bool:
+def is_carroll_winner(e: Election, c: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether c ties-or-defeats every other candidate (has minimum score)."""
-    mine = carroll_score(e, c).score
+    mine = carroll_score(e, c, budget).score
     return all(
-        carroll_score(e, d).score >= mine for d in range(e.num_candidates) if d != c
+        carroll_score(e, d, budget).score >= mine
+        for d in range(e.num_candidates)
+        if d != c
     )
 
 
-def all_winners(e: Election) -> frozenset[int]:
+def all_winners(e: Election, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """The nonempty set of candidates with minimum Carroll score."""
-    scores = [carroll_score(e, c).score for c in range(e.num_candidates)]
+    scores = [carroll_score(e, c, budget).score for c in range(e.num_candidates)]
     low = min(scores)
     return frozenset(c for c, s in enumerate(scores) if s == low)

@@ -61,6 +61,7 @@ def parse_graph(text: str) -> Graph:
     `e <u> <v>` with 1-based endpoints. `c` lines are comments."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -95,9 +96,10 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u}")
             edge_lines += 1
             edge = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if edge in edges:
+            if edge in seen:
                 warnings.warn(f"line {lineno}: duplicate edge {u} {v} collapsed")
             else:
+                seen.add(edge)
                 edges.append(edge)
         else:
             raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")

@@ -90,7 +90,7 @@ def carroll_score_by_bfs(e: Election, c: int) -> int:
 
     Moves are arbitrary adjacent exchanges in any voter's order, not just
     raises of c, which is what makes this an independent check of the
-    raise-only branch-and-bound.
+    raise-only DP.
     """
     m = e.num_candidates
     start = tuple(v.ranking for v in e.voters)

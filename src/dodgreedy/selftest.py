@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-import networkx as nx
-
 from . import batch, elections, formats, graphs, oracles, reductions
 from .elections import Election
 from .errors import BudgetExceededError
@@ -87,6 +85,8 @@ def graph_corpus() -> list[Graph]:
 
 
 def nonisomorphic_trees(max_order: int):
+    import networkx as nx  # only here, so importing the CLI stays cheap
+
     yield Graph(1)
     yield Graph.path(2)
     for order in range(3, max_order + 1):
@@ -137,7 +137,7 @@ def check_golden_vectors() -> CheckResult:
 
 
 def check_score_oracle() -> CheckResult:
-    """Branch-and-bound scores equal full-profile-space BFS swap distances."""
+    """DP scores equal full-profile-space BFS swap distances."""
     started = time.perf_counter()
     failures: list[str] = []
     cases = 0

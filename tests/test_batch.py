@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dodgreedy import batch as qb
 from dodgreedy import elections as el
 from dodgreedy import graphs as gr
-from dodgreedy.errors import IntegrityError
+from dodgreedy.errors import BudgetExceededError, IntegrityError
 from dodgreedy.graphs import Graph
 
 
@@ -48,6 +48,11 @@ class TestQueries:
         assert av.answers == (None, True, None)
         assert av.errors[0] and av.errors[2]
         assert av.errors[1] is None
+
+    def test_score_budget_is_honoured(self, four_voter):
+        query = qb.score_query(four_voter, four_voter.id_of("C"), 3)
+        with pytest.raises(BudgetExceededError):
+            qb.evaluate_batch(qb.QueryBatch((query,)), budget=1)
 
     def test_candidate_out_of_range_is_malformed(self, four_voter):
         query = qb.score_query(four_voter, 0, 0)

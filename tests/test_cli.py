@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dodgreedy import cli, formats
@@ -63,6 +67,18 @@ class TestElectionVerbs:
         lines = out.splitlines()
         assert lines[0] == "condorcet = none"
         assert set(lines[1:]) == {"beats C D", "beats P C", "beats D P"}
+
+    def test_score_with_budget(self, capsys, election_file):
+        code, out, _ = run(capsys, "election-score", "--election", election_file,
+                           "--candidate", "C", "--budget", "100")
+        assert code == 0 and out == "score C = 3\n"
+
+    def test_budget_error_reported(self, capsys, election_file):
+        for extra in ((), ("--candidate", "P")):
+            code, out, err = run(capsys, "election-winner", "--election", election_file,
+                                 "--budget", "1", *extra)
+            assert code == 1
+            assert out == "" and "error:" in err and "budget" in err
 
     def test_unknown_candidate_is_error(self, capsys, election_file):
         code, out, err = run(capsys, "election-score", "--election", election_file,
@@ -167,6 +183,22 @@ class TestSelftestVerb:
         monkeypatch.setattr(cli.selftest, "run_all", lambda: fake[:1])
         code, out, _ = run(capsys, "selftest")
         assert code == 0
+
+
+class TestImportCost:
+    def test_cli_import_leaves_networkx_out(self):
+        # networkx only serves the selftest tree corpus; loading it with the
+        # CLI would cost every invocation its import time and memory
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import dodgreedy.cli; "
+            "print('networkx' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", code],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out == "False\n"
 
 
 class TestParser:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dodgreedy import elections as el
 from dodgreedy import oracles
 from dodgreedy.elections import Candidate, Election, PreferenceOrder
+from dodgreedy.errors import BudgetExceededError
 
 
 def ids(e, *names):
@@ -121,6 +122,34 @@ class TestApplyRaise:
         with pytest.raises(ValueError):
             el.apply_raise(four_voter, c, 0, 1)  # C already tops voter 0
 
+    def test_negative_steps_rejected(self, four_voter):
+        with pytest.raises(ValueError):
+            el.apply_raise(four_voter, 0, 1, -1)
+
+    def test_matches_single_swaps(self, four_voter):
+        c = four_voter.id_of("C")
+        by_swaps = el.apply_swap(el.apply_swap(four_voter, 3, 1), 3, 0)
+        assert el.apply_raise(four_voter, c, 3, 2) == by_swaps
+
+
+class TestReplayWitness:
+    def test_bad_position_rejected(self, four_voter):
+        for position in (-1, 2):
+            cert = el.ScoreCertificate(0, 1, ((0, position),))
+            with pytest.raises(ValueError, match="adjacent pair"):
+                el.replay_witness(four_voter, cert)
+
+    def test_repeated_voter_steps_compose(self, four_voter):
+        cert = el.ScoreCertificate(0, 3, ((3, 1), (3, 0), (1, 0)))
+        step_by_step = four_voter
+        for voter, position in cert.witness:
+            step_by_step = el.apply_swap(step_by_step, voter, position)
+        assert el.replay_witness(four_voter, cert) == step_by_step
+
+    def test_empty_witness_is_identity(self, four_voter):
+        cert = el.ScoreCertificate(0, 0, ())
+        assert el.replay_witness(four_voter, cert) == four_voter
+
 
 class TestCarrollScore:
     def test_golden_scores(self, four_voter):
@@ -148,6 +177,33 @@ class TestCarrollScore:
     def test_unknown_candidate(self, four_voter):
         with pytest.raises(ValueError):
             el.carroll_score(four_voter, 7)
+
+
+class TestBudget:
+    def test_budget_one_raises_on_a_deficit(self, four_voter):
+        c = four_voter.id_of("C")
+        with pytest.raises(BudgetExceededError) as info:
+            el.carroll_score(four_voter, c, budget=1)
+        assert info.value.what == "Carroll score" and info.value.budget == 1
+
+    def test_condorcet_winner_needs_no_states(self, four_voter):
+        p = four_voter.id_of("P")
+        assert el.carroll_score(four_voter, p, budget=0).score == 0
+
+    def test_verdicts_pass_the_budget_on(self, four_voter):
+        c, d = ids(four_voter, "C", "D")
+        for call in (
+            lambda: el.score_at_most(four_voter, c, 3, budget=1),
+            lambda: el.ties_or_defeats(four_voter, c, d, budget=1),
+            lambda: el.is_carroll_winner(four_voter, c, budget=1),
+            lambda: el.all_winners(four_voter, budget=1),
+        ):
+            with pytest.raises(BudgetExceededError):
+                call()
+
+    def test_ample_budget_gives_the_same_score(self, four_voter):
+        c = four_voter.id_of("C")
+        assert el.carroll_score(four_voter, c, budget=50).score == 3
 
 
 class TestScoreAtMost:
@@ -260,14 +316,37 @@ def test_all_winners_is_argmin(e):
         assert el.is_carroll_winner(e, c) == (c in winners)
 
 
-@given(small_elections())
-@settings(deadline=None, max_examples=40)
+@given(small_elections(max_candidates=5, max_voters=11))
+@settings(deadline=None, max_examples=60)
 def test_witness_soundness(e):
     for c in range(e.num_candidates):
         cert = el.carroll_score(e, c)
         replayed = el.replay_witness(e, cert)
         assert el.condorcet_winner(replayed) == c
         assert len(cert.witness) == cert.score
+
+
+def deficit_sum(e, c):
+    """Majority shortfalls of c summed over rivals: each adjacent swap closes
+    at most one unit of one shortfall, so this lower-bounds the score."""
+    tally = el.pairwise_tally(e)
+    need = e.num_voters // 2 + 1
+    return sum(max(0, need - tally[c][d]) for d in range(e.num_candidates) if d != c)
+
+
+@given(small_elections(max_candidates=4, max_voters=4))
+@settings(deadline=None, max_examples=40)
+def test_dp_score_matches_bfs_oracle_beyond_three(e):
+    for c in range(e.num_candidates):
+        if deficit_sum(e, c) <= 3:  # BFS depth, and so its cost, grows with the score
+            assert el.carroll_score(e, c).score == oracles.carroll_score_by_bfs(e, c)
+
+
+@given(small_elections(max_candidates=5, max_voters=11))
+@settings(deadline=None, max_examples=60)
+def test_score_never_below_deficit_sum(e):
+    for c in range(e.num_candidates):
+        assert deficit_sum(e, c) <= el.carroll_score(e, c).score <= el.max_score(e)
 
 
 def test_exhaustive_two_candidate_elections():
