@@ -9,7 +9,6 @@ depend on another query's answer; each pipeline issues exactly one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import elections, graphs
@@ -187,9 +186,7 @@ def ratio_pipeline(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     greedy-side questions enter complemented).  Agrees with
     graphs.achieves_ratio by construction.
     """
-    r = Fraction(r)
-    if r < 1:
-        raise ValueError(f"approximation factor must be >= 1, got {r}")
+    r = graphs._check_ratio(r)
     n = g.n
     alpha_queries = [independence_query(g, k) for k in range(1, n + 1)]
     greedy_queries = [greedy_query(g, s) for s in range(1, n + 1)]

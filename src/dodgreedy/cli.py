@@ -8,6 +8,7 @@ from a failure.  All report lines are deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,9 +35,7 @@ def _parse_ratio(text: str) -> Fraction:
         r = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse ratio {text!r}, expected p/q") from None
-    if r < 1:
-        raise ValueError(f"approximation factor must be >= 1, got {text}")
-    return r
+    return graphs._check_ratio(r)
 
 
 def _cmd_election_score(args) -> int:
@@ -129,7 +128,9 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="dodgreedy",
         description="Exact election scoring, greedy independent-set analysis, "

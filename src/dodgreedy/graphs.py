@@ -2,8 +2,13 @@
 
 The two central quantities are the independence number (largest independent
 set) and the best value achievable by the minimum-degree greedy heuristic
-over all of its tie-breaking choices.  Both are computed exactly; searches
-carry an explicit state budget and raise instead of approximating.
+over all of its tie-breaking choices.  Both are computed exactly by one
+search core, `_Search`: a memo over residual vertex sets (bitmasks) that
+stores at most `budget` states and raises instead of approximating, and
+that rebuilds a best solution (a maximum independent set, a best greedy
+trace) from the memo.  Its two rule sets differ only in how a residual set
+is scored and which vertices may be taken first: any vertex for the
+independence number, a minimum-degree vertex for greedy.
 """
 
 from __future__ import annotations
@@ -140,20 +145,33 @@ def _components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+def _min_degree_vertices(adj: Sequence[int], mask: int) -> list[int]:
+    """The vertices of `mask` with minimum residual degree, in increasing order."""
+    ties, mind = [], len(adj)  # every degree is below the vertex count
+    for v in _bits(mask):
+        d = (adj[v] & mask).bit_count()
+        if d < mind:
+            ties, mind = [v], d
+        elif d == mind:
+            ties.append(v)
+    return ties
+
+
 def _ensure_recursion_room(n: int) -> None:
     want = 4 * n + 1000
     if sys.getrecursionlimit() < want:
         sys.setrecursionlimit(want)
 
 
-class _MisSolver:
-    """Exact maximum-independent-set sizes on vertex subsets of one graph.
+class _Search:
+    """Memoized best-value search over vertex subsets of one graph.
 
-    Memoized recursion with three generic simplifications: vertices of
-    residual degree <= 1 are always safe to take, connected components are
-    scored independently, and a residual component whose degrees are all 2
-    is a cycle with a closed-form answer.  Branching is on a vertex of
-    maximum residual degree.
+    A subclass gives the rules: `_value(mask)` scores a nonempty residual
+    set through `solve` on smaller sets, and `_choices(mask)` names the
+    vertices a best solution may take first.  Taking a vertex removes it
+    and its neighbors and counts one; `picks` replays those choices to
+    recover a solution.  At most `budget` states are stored; a search that
+    needs more raises BudgetExceededError naming the subclass's `what`.
     """
 
     def __init__(self, g: Graph, budget: int):
@@ -162,19 +180,46 @@ class _MisSolver:
         self.cache: dict[int, int] = {}
         _ensure_recursion_room(g.n)
 
-    def _remember(self, mask: int, value: int) -> int:
-        if len(self.cache) >= self.budget:
-            raise BudgetExceededError("independence number", self.budget)
-        self.cache[mask] = value
-        return value
-
     def solve(self, mask: int) -> int:
         if mask == 0:
             return 0
         hit = self.cache.get(mask)
         if hit is not None:
             return hit
+        value = self._value(mask)
+        if len(self.cache) >= self.budget:
+            raise BudgetExceededError(self.what, self.budget)
+        self.cache[mask] = value
+        return value
 
+    def picks(self, mask: int) -> list[int]:
+        picks = []
+        while mask:
+            target = self.solve(mask)
+            for v in self._choices(mask):
+                rest = mask & ~((1 << v) | self.adj[v])
+                if 1 + self.solve(rest) == target:
+                    picks.append(v)
+                    mask = rest
+                    break
+            else:  # pragma: no cover - solve() guarantees a best choice exists
+                raise AssertionError(f"{self.what}: reconstruction failed")
+        return picks
+
+
+class _MisSolver(_Search):
+    """Exact maximum-independent-set sizes on vertex subsets of one graph.
+
+    Three generic simplifications: vertices of residual degree <= 1 are
+    always safe to take, connected components are scored independently,
+    and a residual component whose degrees are all 2 is a cycle with a
+    closed-form answer.  Branching is on a vertex of maximum residual
+    degree.  Any vertex may start a maximum independent set.
+    """
+
+    what = "independence number"
+
+    def _value(self, mask: int) -> int:
         adj = self.adj
         taken = 0
         work = mask
@@ -195,12 +240,11 @@ class _MisSolver:
                     taken += 1
                     changed = True
         if work == 0:
-            return self._remember(mask, taken)
+            return taken
 
         comps = _components(adj, work)
         if len(comps) > 1:
-            value = taken + sum(self.solve(c) for c in comps)
-            return self._remember(mask, value)
+            return taken + sum(self.solve(c) for c in comps)
 
         comp = comps[0]
         best_v, best_d = -1, -1
@@ -210,91 +254,41 @@ class _MisSolver:
                 best_v, best_d = v, d
         if best_d == 2:
             # every degree is exactly 2 here, so the component is one cycle
-            value = taken + comp.bit_count() // 2
-            return self._remember(mask, value)
+            return taken + comp.bit_count() // 2
 
         include = 1 + self.solve(comp & ~((1 << best_v) | adj[best_v]))
         exclude = self.solve(comp & ~(1 << best_v))
-        return self._remember(mask, taken + max(include, exclude))
+        return taken + max(include, exclude)
 
-    def witness(self, mask: int) -> int:
-        chosen = 0
-        cur = mask
-        while cur:
-            target = self.solve(cur)
-            for v in _bits(cur):
-                rest = cur & ~((1 << v) | self.adj[v])
-                if 1 + self.solve(rest) == target:
-                    chosen |= 1 << v
-                    cur = rest
-                    break
-            else:  # pragma: no cover - solve() guarantees a witness exists
-                raise AssertionError("witness reconstruction failed")
-        return chosen
+    def _choices(self, mask: int) -> Iterable[int]:
+        return _bits(mask)
 
 
-class _GreedySolver:
+class _GreedySolver(_Search):
     """Best-over-ties minimum-degree greedy values on residual subsets.
 
     Branches only over vertices whose residual degree is strictly minimum,
-    memoizes on the residual vertex set, and scores disconnected residuals
-    one component at a time: greedy interleavings across components never
-    interact, so the best value is the sum of the components' best values.
+    and scores disconnected residuals one component at a time: greedy
+    interleavings across components never interact, so the best value is
+    the sum of the components' best values.
     """
 
-    def __init__(self, g: Graph, budget: int):
-        self.adj = g._adj
-        self.budget = budget
-        self.cache: dict[int, int] = {}
-        _ensure_recursion_room(g.n)
+    what = "best greedy value"
 
-    def _remember(self, mask: int, value: int) -> int:
-        if len(self.cache) >= self.budget:
-            raise BudgetExceededError("best greedy value", self.budget)
-        self.cache[mask] = value
-        return value
-
-    def solve(self, mask: int) -> int:
-        if mask == 0:
-            return 0
-        hit = self.cache.get(mask)
-        if hit is not None:
-            return hit
-
+    def _value(self, mask: int) -> int:
         adj = self.adj
         comps = _components(adj, mask)
         if len(comps) > 1:
-            return self._remember(mask, sum(self.solve(c) for c in comps))
-
-        comp = comps[0]
-        degs = [(v, (adj[v] & comp).bit_count()) for v in _bits(comp)]
-        mind = min(d for _, d in degs)
+            return sum(self.solve(c) for c in comps)
         best = 0
-        for v, d in degs:
-            if d == mind:
-                value = 1 + self.solve(comp & ~((1 << v) | adj[v]))
-                if value > best:
-                    best = value
-        return self._remember(mask, best)
+        for v in _min_degree_vertices(adj, mask):
+            value = 1 + self.solve(mask & ~((1 << v) | adj[v]))
+            if value > best:
+                best = value
+        return best
 
-    def best_trace(self, mask: int) -> tuple[int, ...]:
-        picks = []
-        cur = mask
-        while cur:
-            target = self.solve(cur)
-            degs = [(v, (self.adj[v] & cur).bit_count()) for v in _bits(cur)]
-            mind = min(d for _, d in degs)
-            for v, d in degs:
-                if d != mind:
-                    continue
-                rest = cur & ~((1 << v) | self.adj[v])
-                if 1 + self.solve(rest) == target:
-                    picks.append(v)
-                    cur = rest
-                    break
-            else:  # pragma: no cover - solve() guarantees a trace exists
-                raise AssertionError("trace reconstruction failed")
-        return tuple(picks)
+    def _choices(self, mask: int) -> list[int]:
+        return _min_degree_vertices(self.adj, mask)
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
@@ -304,8 +298,7 @@ def independence_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
 
 def max_independent_set(g: Graph, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """One maximum independent set (a witness for independence_number)."""
-    solver = _MisSolver(g, budget)
-    return frozenset(_bits(solver.witness((1 << g.n) - 1)))
+    return frozenset(_MisSolver(g, budget).picks((1 << g.n) - 1))
 
 
 def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
@@ -334,9 +327,7 @@ def min_degree_greedy(
     mask = (1 << g.n) - 1
     picks = []
     while mask:
-        degs = [(v, (adj[v] & mask).bit_count()) for v in _bits(mask)]
-        mind = min(d for _, d in degs)
-        v = tie_break([v for v, d in degs if d == mind])
+        v = tie_break(_min_degree_vertices(adj, mask))
         picks.append(v)
         mask &= ~((1 << v) | adj[v])
     return frozenset(picks), GreedyTrace(tuple(picks))
@@ -353,9 +344,10 @@ def replay_trace(g: Graph, trace: GreedyTrace) -> frozenset[int]:
     for step, v in enumerate(trace.picks):
         if not mask >> v & 1:
             raise ValueError(f"step {step}: vertex {v} not in residual graph")
-        d = (adj[v] & mask).bit_count()
-        mind = min((adj[u] & mask).bit_count() for u in _bits(mask))
-        if d != mind:
+        ties = _min_degree_vertices(adj, mask)
+        if v not in ties:
+            d = (adj[v] & mask).bit_count()
+            mind = (adj[ties[0]] & mask).bit_count()
             raise ValueError(f"step {step}: vertex {v} has degree {d}, minimum is {mind}")
         mask &= ~((1 << v) | adj[v])
     if mask:
@@ -370,8 +362,7 @@ def greedy_independence_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
 
 def best_greedy_trace(g: Graph, budget: int = DEFAULT_BUDGET) -> GreedyTrace:
     """A greedy trace realizing greedy_independence_number."""
-    solver = _GreedySolver(g, budget)
-    return GreedyTrace(solver.best_trace((1 << g.n) - 1))
+    return GreedyTrace(tuple(_GreedySolver(g, budget).picks((1 << g.n) - 1)))
 
 
 def greedy_reaches(g: Graph, size: int, budget: int = DEFAULT_BUDGET) -> bool:

@@ -209,3 +209,14 @@ class TestParser:
     def test_missing_verb(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+    def test_parser_reuse_across_calls(self, capsys, tmp_path, election_file):
+        # the parser is built once per process; a failed parse in between
+        # must not leak into the next call's arguments
+        path = graph_file(tmp_path, "c5", Graph.cycle(5))
+        assert run(capsys, "graph-alpha", "--graph", path) == (0, "alpha = 2\n", "")
+        with pytest.raises(SystemExit):
+            cli.main(["graph-mdg", "--budget", "7"])
+        assert "--graph" in capsys.readouterr().err
+        code, out, _ = run(capsys, "election-winner", "--election", election_file)
+        assert code == 0 and out == "winner = P\n"

@@ -21,6 +21,11 @@ def graph_strategy(max_n=7):
     return build()
 
 
+def band(n):
+    """P_n squared: the path on n vertices, each vertex also joined two steps on."""
+    return Graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+
+
 class TestGraphType:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -73,11 +78,12 @@ class TestIndependenceNumber:
     def test_five_cycle(self):
         assert gr.independence_number(Graph.cycle(5)) == 2
 
-    def test_witness_is_maximum_and_independent(self, greedy_gap_graph):
-        for g in (Graph.cycle(5), Graph.star(3), greedy_gap_graph):
-            witness = gr.max_independent_set(g)
-            assert len(witness) == gr.independence_number(g)
-            assert not any(g.has_edge(u, v) for u in witness for v in witness)
+    @given(graph_strategy())
+    @settings(deadline=None, max_examples=80)
+    def test_witness_is_maximum_and_independent(self, g):
+        witness = gr.max_independent_set(g)
+        assert len(witness) == gr.independence_number(g)
+        assert not any(g.has_edge(u, v) for u in witness for v in witness)
 
 
 class TestCliqueNumber:
@@ -148,16 +154,34 @@ class TestGreedyIndependenceNumber:
         assert gr.greedy_independence_number(greedy_gap_graph) == 2
         assert gr.independence_number(greedy_gap_graph) == 3
 
-    def test_best_trace_attains_value(self, greedy_gap_graph):
-        for g in (Graph.cycle(9), Graph.star(3), greedy_gap_graph):
-            trace = gr.best_greedy_trace(g)
-            assert gr.replay_trace(g, trace)
-            assert len(trace) == gr.greedy_independence_number(g)
+    @given(graph_strategy())
+    @settings(deadline=None, max_examples=80)
+    def test_best_trace_attains_value(self, g):
+        trace = gr.best_greedy_trace(g)
+        assert gr.replay_trace(g, trace) == frozenset(trace.picks)
+        assert len(trace) == gr.greedy_independence_number(g)
 
-    def test_budget_exhaustion_reported(self):
-        g = Graph.cycle(12).disjoint_union(Graph.cycle(12))
-        with pytest.raises(BudgetExceededError):
-            gr.greedy_independence_number(g, budget=3)
+    # Stored-state counts of the exact searches: each call fits a budget of
+    # exactly that many states and raises, naming itself, at one less.
+    @pytest.mark.parametrize(
+        "g, alpha_states, greedy_states",
+        [
+            (Graph.cycle(12).disjoint_union(Graph.cycle(12)), 3, 123),
+            (band(40), 65, 105),
+            (band(100), 185, 595),
+        ],
+        ids=["C12+C12", "P40^2", "P100^2"],
+    )
+    def test_budget_exhaustion_reported(self, g, alpha_states, greedy_states):
+        for solve, states, what in (
+            (gr.independence_number, alpha_states, "independence number"),
+            (gr.greedy_independence_number, greedy_states, "best greedy value"),
+        ):
+            solve(g, budget=states)
+            with pytest.raises(BudgetExceededError) as exc:
+                solve(g, budget=states - 1)
+            assert exc.value.what == what
+            assert exc.value.budget == states - 1
 
 
 class TestGreedyReaches:
