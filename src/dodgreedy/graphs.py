@@ -9,6 +9,12 @@ that rebuilds a best solution (a maximum independent set, a best greedy
 trace) from the memo.  Its two rule sets differ only in how a residual set
 is scored and which vertices may be taken first: any vertex for the
 independence number, a minimum-degree vertex for greedy.
+
+Both searches prune only by exact rules.  The independence search takes any
+simplicial vertex (one whose residual neighbourhood is a clique) without
+branching.  The greedy search stops trying tied picks once one reaches an
+upper bound on the independence number of the residual set: greedy <= alpha
+<= the size of any partition into cliques.
 """
 
 from __future__ import annotations
@@ -157,6 +163,36 @@ def _min_degree_vertices(adj: Sequence[int], mask: int) -> list[int]:
     return ties
 
 
+def _is_clique(adj: Sequence[int], mask: int) -> bool:
+    """Whether the vertices of `mask` are pairwise adjacent."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        if mask & ~adj[low.bit_length() - 1]:
+            return False
+    return True
+
+
+def _clique_cover_size(adj: Sequence[int], mask: int) -> int:
+    """Number of cliques in a greedy partition of `mask` into cliques.
+
+    Each clique starts at the lowest remaining vertex and grows through the
+    vertices adjacent to all of it.  An independent set meets each clique at
+    most once, so the count bounds the independence number from above.
+    """
+    count = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        joinable = adj[low.bit_length() - 1] & mask
+        while joinable:
+            low = joinable & -joinable
+            mask ^= low
+            joinable &= adj[low.bit_length() - 1]
+        count += 1
+    return count
+
+
 def _ensure_recursion_room(n: int) -> None:
     want = 4 * n + 1000
     if sys.getrecursionlimit() < want:
@@ -210,11 +246,14 @@ class _Search:
 class _MisSolver(_Search):
     """Exact maximum-independent-set sizes on vertex subsets of one graph.
 
-    Three generic simplifications: vertices of residual degree <= 1 are
-    always safe to take, connected components are scored independently,
-    and a residual component whose degrees are all 2 is a cycle with a
-    closed-form answer.  Branching is on a vertex of maximum residual
-    degree.  Any vertex may start a maximum independent set.
+    Three generic simplifications: a simplicial vertex (its residual
+    neighbourhood is a clique, as for degree 0 and 1) is always safe to
+    take, since a maximum independent set holds at most one vertex of that
+    clique and swapping it for the simplicial one loses nothing; connected
+    components are scored independently; and a residual component whose
+    degrees are all 2 is a cycle with a closed-form answer.  Branching is
+    on a vertex of maximum residual degree.  Any vertex may start a maximum
+    independent set.
     """
 
     what = "independence number"
@@ -223,7 +262,7 @@ class _MisSolver(_Search):
         adj = self.adj
         taken = 0
         work = mask
-        # Take degree<=1 vertices until none remain; each such pick is safe.
+        # Take simplicial vertices until none remain; each such pick is safe.
         changed = True
         while changed:
             changed = False
@@ -231,11 +270,7 @@ class _MisSolver(_Search):
                 if not work >> v & 1:
                     continue  # already dropped as an earlier pick's neighbor
                 nb = adj[v] & work
-                if nb == 0:
-                    work &= ~(1 << v)
-                    taken += 1
-                    changed = True
-                elif nb & (nb - 1) == 0:
+                if _is_clique(adj, nb):
                     work &= ~((1 << v) | nb)
                     taken += 1
                     changed = True
@@ -271,20 +306,37 @@ class _GreedySolver(_Search):
     and scores disconnected residuals one component at a time: greedy
     interleavings across components never interact, so the best value is
     the sum of the components' best values.
+
+    Any greedy run is an independent set, so no tie can beat the residual
+    set's independence number, which no partition into cliques undercuts.
+    Once a tie reaches that bound the rest are skipped.  The bound is the
+    exact alpha where `alpha_memo` (a `_MisSolver` cache, only read here)
+    holds the residual set, else `_clique_cover_size`.
     """
 
     what = "best greedy value"
+
+    def __init__(self, g: Graph, budget: int, alpha_memo: dict[int, int] | None = None):
+        super().__init__(g, budget)
+        self.alpha_memo = {} if alpha_memo is None else alpha_memo
 
     def _value(self, mask: int) -> int:
         adj = self.adj
         comps = _components(adj, mask)
         if len(comps) > 1:
             return sum(self.solve(c) for c in comps)
-        best = 0
-        for v in _min_degree_vertices(adj, mask):
-            value = 1 + self.solve(mask & ~((1 << v) | adj[v]))
-            if value > best:
-                best = value
+        first, *ties = _min_degree_vertices(adj, mask)
+        best = 1 + self.solve(mask & ~((1 << first) | adj[first]))
+        if ties:
+            bound = self.alpha_memo.get(mask)
+            if bound is None:
+                bound = _clique_cover_size(adj, mask)
+            for v in ties:
+                if best >= bound:
+                    break
+                value = 1 + self.solve(mask & ~((1 << v) | adj[v]))
+                if value > best:
+                    best = value
         return best
 
     def _choices(self, mask: int) -> list[int]:
@@ -374,6 +426,14 @@ def greedy_reaches(g: Graph, size: int, budget: int = DEFAULT_BUDGET) -> bool:
     return greedy_independence_number(g, budget) >= size
 
 
+def _alpha_and_greedy(g: Graph, budget: int) -> tuple[int, int]:
+    """Alpha and best greedy value, the greedy search bounded by alpha's memo."""
+    full = (1 << g.n) - 1
+    mis = _MisSolver(g, budget)
+    alpha = mis.solve(full)
+    return alpha, _GreedySolver(g, budget, mis.cache).solve(full)
+
+
 def _check_ratio(r: Ratio) -> Fraction:
     r = Fraction(r)
     if r < 1:
@@ -387,8 +447,7 @@ def achieves_ratio(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     Exact integer test: alpha * denominator <= greedy * numerator.
     """
     r = _check_ratio(r)
-    alpha = independence_number(g, budget)
-    greedy = greedy_independence_number(g, budget)
+    alpha, greedy = _alpha_and_greedy(g, budget)
     return alpha * r.denominator <= greedy * r.numerator
 
 
@@ -399,8 +458,7 @@ def misses_ratio(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     below k * denominator.
     """
     r = _check_ratio(r)
-    alpha = independence_number(g, budget)
-    greedy = greedy_independence_number(g, budget)
+    alpha, greedy = _alpha_and_greedy(g, budget)
     return any(
         alpha >= k and greedy * r.numerator < k * r.denominator
         for k in range(1, g.n + 1)

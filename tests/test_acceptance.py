@@ -9,6 +9,8 @@ import pytest
 
 from dodgreedy import selftest
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def greedy_and_ratio():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,33 @@ def graph_strategy(max_n=7):
     return build()
 
 
-def band(n):
-    """P_n squared: the path on n vertices, each vertex also joined two steps on."""
-    return Graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+def band(n, reach=2):
+    """P_n to the power `reach`: the path on n vertices, each vertex also
+    joined to every vertex up to `reach` steps on (P_n squared by default)."""
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, i + reach + 1) if j < n])
+
+
+def petersen():
+    """Outer 5-cycle 0..4, spokes i -- i+5, inner pentagram on 5..9."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def cliques(*sizes):
+    """Disjoint union of complete graphs of the given sizes."""
+    g = Graph(0)
+    for k in sizes:
+        g = g.disjoint_union(Graph.complete(k))
+    return g
+
+
+def induced(g, mask):
+    """The subgraph of g induced on the vertices of `mask`, relabeled 0..k-1."""
+    keep = [v for v in range(g.n) if mask >> v & 1]
+    index = {v: i for i, v in enumerate(keep)}
+    return Graph(len(keep), [(index[u], index[v]) for u, v in g.edges if u in index and v in index])
 
 
 class TestGraphType:
@@ -77,6 +102,31 @@ class TestIndependenceNumber:
 
     def test_five_cycle(self):
         assert gr.independence_number(Graph.cycle(5)) == 2
+
+    # Chordal inputs: the simplicial-vertex rule settles them without branching.
+    @pytest.mark.parametrize("reach", [2, 3])
+    def test_band_powers_match_enumeration(self, reach):
+        for n in range(15):
+            g = band(n, reach)
+            assert gr.independence_number(g) == oracles.independence_by_enumeration(g)
+
+    @pytest.mark.parametrize("sizes", [(), (1,), (3, 1, 4), (2, 2, 2, 5), (6, 1, 1, 3)])
+    def test_clique_unions_match_enumeration(self, sizes):
+        g = cliques(*sizes)
+        assert gr.independence_number(g) == oracles.independence_by_enumeration(g) == len(sizes)
+
+    def test_band_square_closed_form(self):
+        # any three consecutive vertices form a triangle; every third vertex is independent
+        for n in range(301):
+            assert gr.independence_number(band(n)) == -(-n // 3)
+
+    @given(graph_strategy(), st.integers(0, 2**7 - 1))
+    @settings(deadline=None, max_examples=80)
+    def test_clique_cover_bounds_alpha(self, g, mask):
+        mask &= (1 << g.n) - 1
+        cover = gr._clique_cover_size(g._adj, mask)
+        assert cover >= oracles.independence_by_enumeration(induced(g, mask))
+        assert cover <= mask.bit_count()
 
     @given(graph_strategy())
     @settings(deadline=None, max_examples=80)
@@ -162,15 +212,18 @@ class TestGreedyIndependenceNumber:
         assert len(trace) == gr.greedy_independence_number(g)
 
     # Stored-state counts of the exact searches: each call fits a budget of
-    # exactly that many states and raises, naming itself, at one less.
+    # exactly that many states and raises, naming itself, at one less.  On
+    # the bands the simplicial rule leaves alpha one state and the cover
+    # bound stops greedy at its first tie; Petersen still branches.
     @pytest.mark.parametrize(
         "g, alpha_states, greedy_states",
         [
-            (Graph.cycle(12).disjoint_union(Graph.cycle(12)), 3, 123),
-            (band(40), 65, 105),
-            (band(100), 185, 595),
+            (Graph.cycle(12).disjoint_union(Graph.cycle(12)), 3, 13),
+            (band(40), 1, 14),
+            (band(100), 1, 34),
+            (petersen(), 5, 28),
         ],
-        ids=["C12+C12", "P40^2", "P100^2"],
+        ids=["C12+C12", "P40^2", "P100^2", "Petersen"],
     )
     def test_budget_exhaustion_reported(self, g, alpha_states, greedy_states):
         for solve, states, what in (
@@ -271,6 +324,18 @@ def test_ratio_membership_complement(g):
         assert a != gr.misses_ratio(g, r)
     for lo, hi in zip(inside, inside[1:]):
         assert hi or not lo  # membership is monotone in the ratio
+
+
+@given(graph_strategy(), st.sampled_from([1, Fraction(5, 4), Fraction(3, 2), 2]))
+@settings(deadline=None, max_examples=80)
+def test_ratio_verdicts_match_separate_solves(g, r):
+    # achieves_ratio/misses_ratio share one alpha memo; solved apart they must agree
+    alpha = gr.independence_number(g)
+    greedy = gr.greedy_independence_number(g)
+    r = Fraction(r)
+    within = alpha * r.denominator <= greedy * r.numerator
+    assert gr.achieves_ratio(g, r) == within
+    assert gr.misses_ratio(g, r) == (not within)
 
 
 @given(graph_strategy(max_n=6))
