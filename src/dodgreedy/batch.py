@@ -4,12 +4,17 @@ The decision pipelines here mirror a compute shape where a polynomial-time
 driver writes down every question it will ever need, has them all answered
 in a single round, and then post-processes the answer vector.  No query may
 depend on another query's answer; each pipeline issues exactly one batch.
+
+Within a round the evaluator decodes each payload object once, groups the
+queries by (solver, instance), solves each group once, and reads every
+threshold off that exact value, so asking about one instance at many
+thresholds costs one solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import elections, graphs
 from .elections import Election
@@ -95,39 +100,89 @@ def _graph_from_payload(payload: dict) -> Graph:
     return Graph(int(payload["n"]), [(int(u), int(v)) for u, v in payload["edges"]])
 
 
-def _answer_one(query: Query, budget: int) -> bool:
+# payload faults reported per query; anything else (an exhausted budget)
+# aborts the batch
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError)
+
+
+def _score(e: Election, c: int, budget: int) -> int:
+    return elections.carroll_score(e, c, budget).score
+
+
+def _plan(query: Query, decode) -> tuple[tuple | None, Callable[[int | None], bool]]:
+    """The solve a query needs, as (solver, *instance) or None, and its test.
+
+    The test turns the solved value into the query's answer.
+    """
+    p = query.payload
     if query.kind == "score_at_most":
-        e = _election_from_payload(query.payload["election"])
-        candidate = int(query.payload["candidate"])
+        e = decode(p["election"], _election_from_payload)
+        candidate = int(p["candidate"])
         if not 0 <= candidate < e.num_candidates:
             raise ValueError(f"candidate {candidate} out of range")
-        return elections.score_at_most(e, candidate, int(query.payload["k"]), budget)
+        k = int(p["k"])
+        return (_score, e, candidate), lambda score: score <= k
+    g = decode(p["graph"], _graph_from_payload)
     if query.kind == "alpha_geq":
-        g = _graph_from_payload(query.payload["graph"])
-        return graphs.independence_number(g, budget) >= int(query.payload["k"])
-    g = _graph_from_payload(query.payload["graph"])
-    return graphs.greedy_reaches(g, int(query.payload["s"]), budget)
+        return (graphs.independence_number, g), lambda alpha: alpha >= int(p["k"])
+    s = int(p["s"])
+    if s <= 0 or s > g.n:  # no greedy run collects more than n picks
+        return None, lambda _: s <= 0
+    return (graphs.greedy_independence_number, g), lambda greedy: greedy >= s
 
 
 def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVector:
     """Answer every query independently; answers never depend on each other.
 
-    A malformed payload yields a per-query error entry rather than aborting
+    Each distinct (solver, instance) pair is solved once, when a query first
+    needs it, and every later query on it reads its answer off that value.  A
+    malformed payload yields a per-query error entry rather than aborting
     the batch.  Resource-limit errors propagate: an exhausted budget is a
     failed computation, not a malformed question.
     """
     global _evaluations
     _evaluations += 1
+    decoded: dict[tuple[int, Callable], tuple[object, object]] = {}
+
+    def decode(obj, build):
+        # keyed by identity; holding obj keeps its id from being reused
+        key = (id(obj), build)
+        if key not in decoded:
+            decoded[key] = (obj, build(obj))
+        return decoded[key][1]
+
+    values: dict[tuple | None, int | None] = {None: None}
     answers: list[bool | None] = []
     errors: list[str | None] = []
     for query in batch.queries:
         try:
-            answers.append(_answer_one(query, budget))
+            key, test = _plan(query, decode)
+            if key not in values:
+                solver, *instance = key
+                values[key] = solver(*instance, budget)
+            answers.append(test(values[key]))
             errors.append(None)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except _MALFORMED as exc:
             answers.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
     return AnswerVector(tuple(answers), tuple(errors))
+
+
+def _monotone_switch(row: Sequence[bool], label: str, first: int) -> int:
+    """Index where a row of threshold answers turns from false to true.
+
+    The row answers thresholds first, first + 1, ... and must read false,
+    then true; len(row) if it never turns.  A true answer followed by a
+    false one means a solver bug, reported as IntegrityError at the last
+    true threshold.
+    """
+    switch = len(row)
+    for i, answer in enumerate(row):
+        if answer:
+            switch = min(switch, i)
+        elif switch < i:
+            raise IntegrityError(f"{label} is not monotone at threshold {first + i - 1}")
+    return switch
 
 
 def scores_from_answers(rows: Sequence[Sequence[bool]]) -> list[int]:
@@ -141,10 +196,7 @@ def scores_from_answers(rows: Sequence[Sequence[bool]]) -> list[int]:
     for i, row in enumerate(rows):
         if not row or not row[-1]:
             raise IntegrityError(f"row {i} never turns true")
-        for k in range(len(row) - 1):
-            if row[k] and not row[k + 1]:
-                raise IntegrityError(f"row {i} is not monotone at threshold {k}")
-        scores.append(list(row).index(True))
+        scores.append(_monotone_switch(row, f"row {i}", 0))
     return scores
 
 
@@ -167,8 +219,11 @@ def carroll_winner_pipeline(e: Election, candidate: int) -> bool:
         raise ValueError(f"no candidate with id {candidate}")
     cap = elections.max_score(e)
     width = cap + 1
+    payload = election_payload(e)  # one shared payload: decoded once, solved once per c
     queries = [
-        score_query(e, c, k) for c in range(e.num_candidates) for k in range(width)
+        Query("score_at_most", {"election": payload, "candidate": c, "k": k})
+        for c in range(e.num_candidates)
+        for k in range(width)
     ]
     av = evaluate_batch(QueryBatch(tuple(queries)))
     answers = _strict_answers(av, "carroll_winner_pipeline")
@@ -188,16 +243,16 @@ def ratio_pipeline(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     """
     r = graphs._check_ratio(r)
     n = g.n
-    alpha_queries = [independence_query(g, k) for k in range(1, n + 1)]
-    greedy_queries = [greedy_query(g, s) for s in range(1, n + 1)]
+    payload = graph_payload(g)  # one shared payload: decoded once, solved once per solver
+    alpha_queries = [Query("alpha_geq", {"graph": payload, "k": k}) for k in range(1, n + 1)]
+    greedy_queries = [Query("mdg_geq", {"graph": payload, "s": s}) for s in range(1, n + 1)]
     av = evaluate_batch(QueryBatch(tuple(alpha_queries + greedy_queries)), budget)
     answers = _strict_answers(av, "ratio_pipeline")
     alpha_row = answers[:n]
     greedy_row = answers[n:]
     for name, row in (("alpha", alpha_row), ("greedy", greedy_row)):
-        for i in range(len(row) - 1):
-            if row[i + 1] and not row[i]:
-                raise IntegrityError(f"{name} row is not monotone at threshold {i + 1}")
+        # "value >= k" rows read true, then false
+        _monotone_switch([not a for a in row], f"{name} row", 1)
 
     def greedy_below(k: int) -> bool:
         # greedy * numerator < k * denominator, via one complemented answer

@@ -34,29 +34,35 @@ Ratio = Fraction | int
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Self-loops are rejected; duplicate edges collapse.  Instances are
-    immutable and safe to share between threads.
+    Self-loops are rejected; duplicate edges collapse.  A graph stores only
+    its n adjacency rows (row v is a bitmask of v's neighbours); the edge
+    set is derived from them on request.  Instances are immutable and safe
+    to share between threads.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        normalized = set()
+        adj = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            normalized.add((u, v) if u < v else (v, u))
-        adj = [0] * n
-        for u, v in normalized:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "_adj", tuple(adj))
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[int]) -> Graph:
+        """A graph on len(rows) vertices with these (symmetric, loop-free) rows."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "_adj", tuple(rows))
+        object.__setattr__(g, "n", len(g._adj))
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -64,17 +70,24 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v."""
+        return frozenset(
+            (u, v) for u, row in enumerate(self._adj) for v in _bits(row >> u << u)
+        )
+
+    @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self._adj) // 2
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
@@ -86,12 +99,11 @@ class Graph:
         return u != v and bool(self._adj[u] >> v & 1)
 
     def complement(self) -> Graph:
-        full = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)]
-        return Graph(self.n, [e for e in full if e not in self.edges])
+        full = (1 << self.n) - 1
+        return Graph._from_rows(full ^ row ^ (1 << v) for v, row in enumerate(self._adj))
 
     def disjoint_union(self, other: Graph) -> Graph:
-        shifted = [(u + self.n, v + self.n) for u, v in other.edges]
-        return Graph(self.n + other.n, list(self.edges) + shifted)
+        return Graph._from_rows(self._adj + tuple(row << self.n for row in other._adj))
 
     @classmethod
     def empty(cls, n: int) -> Graph:

@@ -1,3 +1,5 @@
+import collections
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from dodgreedy import batch as qb
 from dodgreedy import elections as el
+from dodgreedy import formats
 from dodgreedy import graphs as gr
 from dodgreedy.errors import BudgetExceededError, IntegrityError
 from dodgreedy.graphs import Graph
@@ -185,3 +188,101 @@ def test_ratio_pipeline_matches_direct(n, data):
     g = Graph(n, edges)
     for r in (Fraction(1), Fraction(3, 2), Fraction(2)):
         assert qb.ratio_pipeline(g, r) == gr.achieves_ratio(g, r)
+
+
+def direct(query):
+    """One query answered on its own by the public solvers, as (answer, error)."""
+    p = query.payload
+    try:
+        if query.kind == "score_at_most":
+            e = qb._election_from_payload(p["election"])
+            candidate = int(p["candidate"])
+            if not 0 <= candidate < e.num_candidates:
+                raise ValueError(f"candidate {candidate} out of range")
+            return el.score_at_most(e, candidate, int(p["k"])), None
+        g = qb._graph_from_payload(p["graph"])
+        if query.kind == "alpha_geq":
+            return gr.independence_number(g) >= int(p["k"]), None
+        return gr.greedy_reaches(g, int(p["s"])), None
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+MALFORMED = [
+    qb.Query("alpha_geq", {"graph": {"n": 2}, "k": 1}),
+    qb.Query("alpha_geq", {"graph": {"n": 2, "edges": [[0, 5]]}, "k": 1}),
+    qb.Query("mdg_geq", {"graph": {"n": 3, "edges": []}}),
+    qb.Query("score_at_most", {"election": {"candidates": []}, "k": 0}),
+    qb.Query("score_at_most", {"election": {"candidates": ["a"], "rankings": [[0, 0]]}, "candidate": 0, "k": 0}),
+]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_mixed_batch_matches_direct_verdicts(data):
+    import itertools
+
+    pool = list(MALFORMED)
+    for n in data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2)):
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, [p for p in pairs if data.draw(st.booleans())])
+        shared = qb.graph_payload(g)
+        for k in range(-1, n + 2):
+            pool.append(qb.Query("alpha_geq", {"graph": shared, "k": k}))
+            pool.append(qb.Query("mdg_geq", {"graph": shared, "s": k}))
+        pool.append(qb.Query("alpha_geq", {"graph": shared, "k": "many"}))
+    m = data.draw(st.integers(1, 3))
+    rankings = [data.draw(st.permutations(range(m))) for _ in range(data.draw(st.integers(1, 3)))]
+    e = el.Election(
+        tuple(el.Candidate(i, f"c{i}") for i in range(m)),
+        tuple(el.PreferenceOrder(tuple(r)) for r in rankings),
+    )
+    shared = qb.election_payload(e)
+    for c in range(-1, m + 1):
+        for k in range(el.max_score(e) + 1):
+            pool.append(qb.Query("score_at_most", {"election": shared, "candidate": c, "k": k}))
+
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    queries = [pool[i] for i in picks]
+    # equal but separate payloads, as a parsed batch has them
+    copies = formats.parse_batch(formats.format_batch(qb.QueryBatch(tuple(queries)))).queries
+    queries += data.draw(st.lists(st.sampled_from(copies), max_size=20)) if copies else []
+    queries = data.draw(st.permutations(queries))
+
+    av = qb.evaluate_batch(qb.QueryBatch(tuple(queries)))
+    assert list(zip(av.answers, av.errors)) == [direct(q) for q in queries]
+
+
+def test_one_solve_per_distinct_instance(monkeypatch, greedy_gap_graph, four_voter):
+    calls = collections.Counter()
+
+    def counted(module, name):
+        solver = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(gr, "independence_number")
+    counted(gr, "greedy_independence_number")
+    counted(el, "carroll_score")
+
+    qb.ratio_pipeline(greedy_gap_graph, 1)
+    assert calls == {"independence_number": 1, "greedy_independence_number": 1}
+    calls.clear()
+    qb.carroll_winner_pipeline(four_voter, 0)
+    assert calls == {"carroll_score": four_voter.num_candidates}
+    calls.clear()
+    # equal instances from separate payloads still share one solve
+    text = json.dumps(qb.graph_payload(greedy_gap_graph))
+    queries = [qb.Query("alpha_geq", {"graph": json.loads(text), "k": k}) for k in range(5)]
+    qb.evaluate_batch(qb.QueryBatch(tuple(queries)))
+    assert calls == {"independence_number": 1}
+    calls.clear()
+    # greedy thresholds outside 1..n are answered without a solve
+    queries = [qb.greedy_query(greedy_gap_graph, s) for s in (-1, 0, 8, 9)]
+    av = qb.evaluate_batch(qb.QueryBatch(tuple(queries)), budget=1)
+    assert av.answers == (True, True, False, False)
+    assert calls == {}

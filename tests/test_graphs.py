@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dodgreedy import formats
 from dodgreedy import graphs as gr
 from dodgreedy import oracles
 from dodgreedy.errors import BudgetExceededError
@@ -74,10 +75,16 @@ class TestGraphType:
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(1, 0)]))
         assert Graph(3) != Graph(4)
+        assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
 
     def test_complement(self):
         assert Graph.complete(4).complement() == Graph.empty(4)
         assert Graph.empty(3).complement() == Graph.complete(3)
+
+    def test_edges_are_ordered_pairs(self):
+        g = Graph(4, [(3, 0), (2, 1), (1, 2)])
+        assert g.edges == {(0, 3), (1, 2)}
+        assert g.num_edges == 2
 
     def test_disjoint_union(self):
         g = Graph.complete(2).disjoint_union(Graph.complete(3))
@@ -348,3 +355,29 @@ def test_deterministic_run_replays_and_is_maximal(g):
     for v in picked:
         dominated |= g.neighbors(v)
     assert dominated == set(range(g.n))
+
+
+@given(graph_strategy(), st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=80)
+def test_edge_order_and_duplicates_do_not_matter(g, rng):
+    edges = sorted(g.edges)
+    permuted = rng.sample(edges, len(edges))
+    variants = [
+        permuted,
+        [(v, u) for u, v in reversed(edges)],
+        edges + [(v, u) for u, v in permuted],
+    ]
+    for variant in variants:
+        h = Graph(g.n, variant)
+        assert h == g and hash(h) == hash(g)
+
+
+@given(graph_strategy())
+@settings(deadline=None, max_examples=80)
+def test_edges_round_trip(g):
+    assert all(u < v for u, v in g.edges)
+    assert g.num_edges == len(g.edges)
+    assert Graph(g.n, g.edges) == g
+    assert formats.parse_graph(formats.format_graph(g)) == g
+    assert g.complement().complement() == g
+    assert g.complement().num_edges == g.n * (g.n - 1) // 2 - g.num_edges

@@ -123,13 +123,33 @@ class TestBuildReduction:
         }
 
     def test_structure_check_catches_tampering(self):
+        def tampered(art, drop=(), add=()):
+            edges = (art.graph.edges - set(drop)) | set(add)
+            return red.ReductionArtifact(
+                Graph(art.graph.n, edges),
+                art.ell, art.k, art.n, art.parts, art.joins, art.provenance,
+            )
+
+        def inside(art, label):
+            span = art.part(label)
+            return [(u, v) for u, v in sorted(art.graph.edges) if u in span and v in span]
+
         art = red.build_reduction(Graph(1), Graph(1))
-        dropped = next(iter(art.graph.edges))
-        tampered = red.ReductionArtifact(
-            Graph(art.graph.n, art.graph.edges - {dropped}),
-            art.ell, art.k, art.n, art.parts, art.joins, art.provenance,
+        assert not red.check_artifact_structure(tampered(art, drop=[next(iter(art.graph.edges))]))
+
+        # one edit inside a part, which the cross-part wiring checks never see
+        art = red.build_reduction(Graph.path(3), Graph.complete(2))
+        assert red.check_artifact_structure(tampered(art))
+        h1, i1 = art.part("H1"), art.part("I1")
+        missing_h1 = next(
+            (u, v) for u in h1 for v in h1 if u < v and not art.graph.has_edge(u, v)
         )
-        assert not red.check_artifact_structure(tampered)
+        for edit in (
+            {"drop": inside(art, "G2")[:1]},
+            {"add": [missing_h1]},
+            {"add": [(i1[0], i1[1])]},
+        ):
+            assert not red.check_artifact_structure(tampered(art, **edit)), edit
 
     def test_provenance_is_deterministic(self):
         a = red.build_reduction(Graph.complete(3), Graph.empty(3))
