@@ -115,7 +115,7 @@ def _cmd_verify_reduction(args) -> int:
     for line in report.lines():
         print(line)
     if args.emit_artifact:
-        _emit_artifact(reductions.build_reduction(g, h), args.emit_artifact)
+        _emit_artifact(report.artifact, args.emit_artifact)
     return 0
 
 

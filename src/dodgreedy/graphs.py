@@ -12,9 +12,11 @@ independence number, a minimum-degree vertex for greedy.
 
 Both searches prune only by exact rules.  The independence search takes any
 simplicial vertex (one whose residual neighbourhood is a clique) without
-branching.  The greedy search stops trying tied picks once one reaches an
-upper bound on the independence number of the residual set: greedy <= alpha
-<= the size of any partition into cliques.
+branching, branches on a whole class of false twins (vertices with equal
+residual neighbourhoods) at once, and scores a join of residual parts as
+its best part.  The greedy search stops trying tied picks once one reaches
+an upper bound on the independence number of the residual set: greedy <=
+alpha <= the size of any partition into cliques.
 """
 
 from __future__ import annotations
@@ -163,6 +165,30 @@ def _components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+def _co_components(adj: Sequence[int], mask: int) -> list[int]:
+    """The vertex sets of the components of the complement of the graph
+    induced on `mask`.
+
+    Every edge between two of them is present, so `mask` is their join; a
+    single set means `mask` is no join.
+    """
+    comps = []
+    rest = mask
+    while rest:
+        seed = rest & -rest
+        comp = seed
+        frontier = seed
+        while frontier:
+            grow = 0
+            for v in _bits(frontier):
+                grow |= ~adj[v]
+            frontier = grow & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def _min_degree_vertices(adj: Sequence[int], mask: int) -> list[int]:
     """The vertices of `mask` with minimum residual degree, in increasing order."""
     ties, mind = [], len(adj)  # every degree is below the vertex count
@@ -263,9 +289,17 @@ class _MisSolver(_Search):
     take, since a maximum independent set holds at most one vertex of that
     clique and swapping it for the simplicial one loses nothing; connected
     components are scored independently; and a residual component whose
-    degrees are all 2 is a cycle with a closed-form answer.  Branching is
-    on a vertex of maximum residual degree.  Any vertex may start a maximum
-    independent set.
+    degrees are all 2 is a cycle with a closed-form answer.
+
+    Two more exact rules cut the branching.  A component that is the join
+    of the components of its complement (every edge between any two of
+    them) scores the best of them, since an independent set lies inside
+    one; a split needs a vertex of degree at least half the component, so
+    only then is it looked for.  Branching is on a vertex of maximum
+    residual degree together with its false twins (same residual
+    neighbourhood), taken all or none: a maximum independent set holding
+    one twin but not another could add the other.  Any vertex may start a
+    maximum independent set.
     """
 
     what = "independence number"
@@ -274,18 +308,27 @@ class _MisSolver(_Search):
         adj = self.adj
         taken = 0
         work = mask
-        # Take simplicial vertices until none remain; each such pick is safe.
+        # Take simplicial vertices until a pass takes none; each such pick is
+        # safe.  That last pass also finds a vertex of maximum degree.
         changed = True
         while changed:
             changed = False
-            for v in _bits(work):
-                if not work >> v & 1:
-                    continue  # already dropped as an earlier pick's neighbor
+            best_v, best_d = -1, -1
+            rest = work
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
                 nb = adj[v] & work
-                if _is_clique(adj, nb):
-                    work &= ~((1 << v) | nb)
+                if nb & (nb - 1) == 0 or _is_clique(adj, nb):
+                    work &= ~(low | nb)
+                    rest &= work
                     taken += 1
                     changed = True
+                else:
+                    d = nb.bit_count()
+                    if d > best_d:
+                        best_v, best_d = v, d
         if work == 0:
             return taken
 
@@ -294,17 +337,24 @@ class _MisSolver(_Search):
             return taken + sum(self.solve(c) for c in comps)
 
         comp = comps[0]
-        best_v, best_d = -1, -1
-        for v in _bits(comp):
-            d = (adj[v] & comp).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
         if best_d == 2:
             # every degree is exactly 2 here, so the component is one cycle
             return taken + comp.bit_count() // 2
 
-        include = 1 + self.solve(comp & ~((1 << best_v) | adj[best_v]))
-        exclude = self.solve(comp & ~(1 << best_v))
+        if 2 * best_d >= comp.bit_count():
+            parts = _co_components(adj, comp)
+            if len(parts) > 1:
+                return taken + max(self.solve(p) for p in parts)
+
+        # best_v's false twins: a vertex adjacent to all of best_v's
+        # neighbours has at least its (maximum) degree, so exactly its
+        # neighbourhood; the common neighbours are best_v and its twins
+        nb = adj[best_v] & comp
+        twins = comp
+        for v in _bits(nb):
+            twins &= adj[v]
+        include = twins.bit_count() + self.solve(comp & ~(twins | nb))
+        exclude = self.solve(comp & ~twins)
         return taken + max(include, exclude)
 
     def _choices(self, mask: int) -> Iterable[int]:

@@ -13,13 +13,14 @@ recomputes all the relevant exact quantities on the finished artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
-    greedy_independence_number,
+    _GreedySolver,
+    _MisSolver,
     independence_number,
 )
 
@@ -43,6 +44,10 @@ class ReductionArtifact:
     parts: tuple[tuple[str, range], ...]
     joins: frozenset[frozenset[str]]
     provenance: tuple[str, ...]
+    # the pipeline's intermediate graphs, both sides after pad_edges, after
+    # double_subdivision and after pad_vertices, so that verify_reduction
+    # measures the very graphs the artifact was built from
+    stages: tuple[Graph, ...] = field(default=(), compare=False, repr=False)
 
     def part(self, label: str) -> range:
         for name, span in self.parts:
@@ -166,7 +171,8 @@ def build_reduction(g: Graph, h: Graph) -> ReductionArtifact:
         (label, range(offsets[label], offsets[label] + sizes[label]))
         for label in PART_LABELS
     )
-    return ReductionArtifact(ghat, ell, k, n, parts, JOIN_PAIRS, provenance)
+    stages = (g2, h2, gp, hp, gpp, hpp)
+    return ReductionArtifact(ghat, ell, k, n, parts, JOIN_PAIRS, provenance, stages)
 
 
 def check_artifact_structure(artifact: ReductionArtifact) -> bool:
@@ -235,6 +241,7 @@ class ReductionReport:
     n: int
     ell: int
     checks: tuple[tuple[str, bool], ...]
+    artifact: ReductionArtifact = field(repr=False)  # what the figures above measure
 
     @property
     def passed(self) -> bool:
@@ -259,37 +266,45 @@ class ReductionReport:
         return out
 
 
-def _exact(fn, graph: Graph, budget: int, step: str) -> int:
+def _exact(step: str, solve, *args) -> int:
+    """solve(*args), with a budget overrun reported under `step`."""
     try:
-        return fn(graph, budget)
+        return solve(*args)
     except BudgetExceededError as exc:
         raise BudgetExceededError(step, exc.budget) from None
 
 
-def verify_reduction(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> ReductionReport:
-    """Rebuild the artifact and measure every contract with the exact solvers.
+def _exact_pair(graph: Graph, budget: int, name: str) -> tuple[int, int]:
+    """Alpha and best greedy value of `graph`, the greedy search bounded by
+    the alpha memo as in achieves_ratio."""
+    full = (1 << graph.n) - 1
+    mis = _MisSolver(graph, budget)
+    alpha = _exact(f"alpha({name})", mis.solve, full)
+    greedy = _exact(f"mdg({name})", _GreedySolver(graph, budget, mis.cache).solve, full)
+    return alpha, greedy
 
-    Raises BudgetExceededError naming the subcomputation if any exact solve
-    outruns the state budget; a report is only returned when every quantity
-    was computed exactly.
+
+def verify_reduction(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> ReductionReport:
+    """Build the artifact and measure every contract with the exact solvers.
+
+    Every stage is measured as build_reduction made it (the artifact's
+    `stages`), and the report carries the artifact.  Raises BudgetExceededError naming the
+    subcomputation if any exact solve outruns the state budget; a report is
+    only returned when every quantity was computed exactly.
     """
     artifact = build_reduction(g, h)
-    g2, h2, k = pad_edges(g, h)
-    gp, hp = double_subdivision(g2), double_subdivision(h2)
-    gpp, hpp, n = pad_vertices(gp, hp)
+    g2, h2, gp, hp, gpp, hpp = artifact.stages
+    k, n = artifact.k, artifact.n
 
-    alpha_g = _exact(independence_number, g, budget, "alpha(G)")
-    alpha_h = _exact(independence_number, h, budget, "alpha(H)")
-    alpha_g2 = _exact(independence_number, g2, budget, "alpha(G padded)")
-    alpha_h2 = _exact(independence_number, h2, budget, "alpha(H padded)")
-    alpha_gp = _exact(independence_number, gp, budget, "alpha(G')")
-    alpha_hp = _exact(independence_number, hp, budget, "alpha(H')")
-    greedy_gp = _exact(greedy_independence_number, gp, budget, "mdg(G')")
-    greedy_hp = _exact(greedy_independence_number, hp, budget, "mdg(H')")
-    alpha_gpp = _exact(independence_number, gpp, budget, "alpha(G'')")
-    alpha_hpp = _exact(independence_number, hpp, budget, "alpha(H'')")
-    alpha_ghat = _exact(independence_number, artifact.graph, budget, "alpha(Ghat)")
-    greedy_ghat = _exact(greedy_independence_number, artifact.graph, budget, "mdg(Ghat)")
+    alpha_g = _exact("alpha(G)", independence_number, g, budget)
+    alpha_h = _exact("alpha(H)", independence_number, h, budget)
+    alpha_g2 = _exact("alpha(G padded)", independence_number, g2, budget)
+    alpha_h2 = _exact("alpha(H padded)", independence_number, h2, budget)
+    alpha_gp, greedy_gp = _exact_pair(gp, budget, "G'")
+    alpha_hp, greedy_hp = _exact_pair(hp, budget, "H'")
+    alpha_gpp = _exact("alpha(G'')", independence_number, gpp, budget)
+    alpha_hpp = _exact("alpha(H'')", independence_number, hpp, budget)
+    alpha_ghat, greedy_ghat = _exact_pair(artifact.graph, budget, "Ghat")
 
     checks = (
         ("pad-edges-equal-count", g2.num_edges == h2.num_edges == k),
@@ -328,4 +343,5 @@ def verify_reduction(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> Reduct
         n=n,
         ell=artifact.ell,
         checks=checks,
+        artifact=artifact,
     )

@@ -162,6 +162,17 @@ class TestReductionVerbs:
         assert "mdg(Ghat) = 13" in out
         assert "reduction: PASS" in out
 
+    def test_verify_emits_the_reduce_artifact(self, capsys, tmp_path):
+        g = graph_file(tmp_path, "g", Graph.path(3))
+        h = graph_file(tmp_path, "h", Graph.complete(2))
+        for verb in ("reduce", "verify-reduction"):
+            code, _, _ = run(capsys, verb, "--graph", g, "--graph2", h,
+                             "--emit-artifact", str(tmp_path / verb))
+            assert code == 0
+        for suffix in ("", ".parts"):
+            reduced = (tmp_path / f"reduce{suffix}").read_bytes()
+            assert (tmp_path / f"verify-reduction{suffix}").read_bytes() == reduced
+
     def test_deterministic_output(self, capsys, tmp_path):
         g = graph_file(tmp_path, "g", Graph.path(3))
         h = graph_file(tmp_path, "h", Graph.complete(2))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dodgreedy import batch as qb
 from dodgreedy import formats as fmt
@@ -99,6 +101,13 @@ class TestGraphFormat:
             text = fmt.format_graph(g)
             assert fmt.parse_graph(text) == g
             assert fmt.format_graph(fmt.parse_graph(text)) == text
+
+    @given(st.integers(0, 70), st.floats(0, 1), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=60)
+    def test_edges_written_in_sorted_order(self, n, density, rng):
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density])
+        sorted_edges = [f"p {n} {g.num_edges}"] + [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)]
+        assert fmt.format_graph(g) == "\n".join(sorted_edges) + "\n"
 
 
 class TestPartmapFormat:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dodgreedy import formats
 from dodgreedy import graphs as gr
 from dodgreedy import oracles
+from dodgreedy import reductions as red
 from dodgreedy.errors import BudgetExceededError
 from dodgreedy.graphs import Graph, GreedyTrace
 
@@ -21,6 +22,44 @@ def graph_strategy(max_n=7):
         return Graph(n, edges)
 
     return build()
+
+
+def blow_up(g, sizes):
+    """g with vertex v replaced by a class of sizes[v] false twins (same
+    neighbours, no edges inside the class)."""
+    start = list(itertools.accumulate(sizes, initial=0))
+    return Graph(start[-1], [
+        (a, b)
+        for u, v in g.edges
+        for a in range(start[u], start[u + 1])
+        for b in range(start[v], start[v + 1])
+    ])
+
+
+def join(g, h):
+    """G v H: disjoint copies of g and h plus every edge between them."""
+    shifted = [(u + g.n, v + g.n) for u, v in h.edges]
+    cross = [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
+    return Graph(g.n + h.n, [*g.edges, *shifted, *cross])
+
+
+@st.composite
+def twins_and_joins(draw, room=14):
+    """Up to `room` vertices: one to three small graphs, each vertex blown up
+    into 1-3 false twins, joined to each other."""
+    g = Graph(0)
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(graph_strategy(min(7, room)))
+        sizes = []
+        for v in range(base.n):
+            spare = room - sum(sizes) - (base.n - v)  # one vertex per class to come
+            sizes.append(draw(st.integers(1, 1 + min(2, spare))))
+        part = blow_up(base, sizes)
+        g = join(g, part)
+        room -= part.n
+        if room == 0:
+            break
+    return g
 
 
 def band(n, reach=2):
@@ -142,6 +181,31 @@ class TestIndependenceNumber:
         assert len(witness) == gr.independence_number(g)
         assert not any(g.has_edge(u, v) for u in witness for v in witness)
 
+    # the shapes the false-twin and join rules act on: blow-ups of graphs
+    # that are neither joins nor disconnected, so the search branches on a
+    # twin class, then the same joined to a 5-cycle
+    @pytest.mark.parametrize(
+        "base, sizes",
+        [
+            (Graph.cycle(5), (1, 1, 1, 2, 2)),
+            (Graph.path(5), (1, 2, 2, 2, 2)),
+            (Graph.path(5), (2, 2, 2, 3, 2)),
+        ],
+    )
+    def test_twin_blow_ups_match_enumeration(self, base, sizes):
+        g = blow_up(base, sizes)
+        for h in (g, join(g, Graph.cycle(5))):
+            assert gr.independence_number(h) == oracles.independence_by_enumeration(h)
+
+    @given(twins_and_joins())
+    @settings(deadline=None, max_examples=150)
+    def test_twins_and_joins_match_enumeration(self, g):
+        alpha = oracles.independence_by_enumeration(g)
+        assert gr.independence_number(g) == alpha
+        witness = gr.max_independent_set(g)
+        assert len(witness) == alpha
+        assert not any(g.has_edge(u, v) for u in witness for v in witness)
+
 
 class TestCliqueNumber:
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -221,7 +285,9 @@ class TestGreedyIndependenceNumber:
     # Stored-state counts of the exact searches: each call fits a budget of
     # exactly that many states and raises, naming itself, at one less.  On
     # the bands the simplicial rule leaves alpha one state and the cover
-    # bound stops greedy at its first tie; Petersen still branches.
+    # bound stops greedy at its first tie; Petersen still branches.  On the
+    # reduction artifact alpha takes I1's 2n + 2 false twins as one branch
+    # and splits the joined parts (it stored 298 states one twin at a time).
     @pytest.mark.parametrize(
         "g, alpha_states, greedy_states",
         [
@@ -229,8 +295,9 @@ class TestGreedyIndependenceNumber:
             (band(40), 1, 14),
             (band(100), 1, 34),
             (petersen(), 5, 28),
+            (red.build_reduction(Graph.path(3), Graph.complete(2)).graph, 20, 281),
         ],
-        ids=["C12+C12", "P40^2", "P100^2", "Petersen"],
+        ids=["C12+C12", "P40^2", "P100^2", "Petersen", "artifact(P3,K2)"],
     )
     def test_budget_exhaustion_reported(self, g, alpha_states, greedy_states):
         for solve, states, what in (

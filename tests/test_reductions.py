@@ -151,6 +151,13 @@ class TestBuildReduction:
         ):
             assert not red.check_artifact_structure(tampered(art, **edit)), edit
 
+    def test_stages_are_the_pipeline_graphs(self):
+        g, h = Graph.path(3), Graph.complete(2)
+        g2, h2, _ = red.pad_edges(g, h)
+        gp, hp = red.double_subdivision(g2), red.double_subdivision(h2)
+        gpp, hpp, _ = red.pad_vertices(gp, hp)
+        assert red.build_reduction(g, h).stages == (g2, h2, gp, hp, gpp, hpp)
+
     def test_provenance_is_deterministic(self):
         a = red.build_reduction(Graph.complete(3), Graph.empty(3))
         b = red.build_reduction(Graph.complete(3), Graph.empty(3))
@@ -190,6 +197,18 @@ class TestVerifyReduction:
         with pytest.raises(BudgetExceededError) as info:
             red.verify_reduction(Graph.complete(3), Graph.empty(3), budget=5)
         assert info.value.what  # names the failing subcomputation
+
+    def test_budget_overrun_names_artifact_solves(self):
+        # alpha(Ghat) stores 5 states here; mdg(Ghat), bounded by its memo, 13
+        for budget, step in ((4, "alpha(Ghat)"), (12, "mdg(Ghat)")):
+            with pytest.raises(BudgetExceededError) as info:
+                red.verify_reduction(Graph(1), Graph(1), budget=budget)
+            assert (info.value.what, info.value.budget) == (step, budget)
+        assert red.verify_reduction(Graph(1), Graph(1), budget=13).passed
+
+    def test_report_carries_the_built_artifact(self):
+        for g, h in ((Graph(1), Graph.empty(2)), (Graph.path(3), Graph.complete(2))):
+            assert red.verify_reduction(g, h).artifact == red.build_reduction(g, h)
 
     def test_end_to_end_tiny_pairs(self):
         tiny = [Graph(1), Graph.empty(2), Graph.complete(2)]
