@@ -5,10 +5,12 @@
 
 Each pair runs `perfbench/run.py` in both checkouts on the same seed, one
 after the other; the side that goes first alternates from pair to pair, so
-a drift in the machine's speed hits both sides alike.  The file named by
+a drift in the machine's speed hits both sides alike.  Every run lasts
+run.py's own default length, the same on both sides.  The file named by
 --out gains one entry per workload (an existing entry for the workload is
-replaced): every run's metrics and answer counts, and per metric the
-median and quartiles of each side and the number of pairs the change won.
+replaced): every run's metrics, answer counts and measured wall time, and
+per metric the median and quartiles of each side and the number of pairs
+the change won.
 """
 
 from __future__ import annotations
@@ -41,18 +43,20 @@ def host() -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "wall_s": round(result["attempted"] / metrics["requests_per_s"], 2),
+        "metrics": metrics,
     }
 
 
@@ -85,7 +89,6 @@ def main() -> None:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="first-last, inclusive")
-    ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--note", default="", help="what the two checkouts are")
     args = ap.parse_args()
@@ -100,7 +103,7 @@ def main() -> None:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            pair[side] = run_once(getattr(args, side), args.workload, seed)
             print(args.workload, seed, side, pair[side]["metrics"], file=sys.stderr)
         pairs.append(pair)
 
@@ -109,7 +112,6 @@ def main() -> None:
     if args.note:
         doc["note"] = args.note
     doc.setdefault("workloads", {})[args.workload] = {
-        "seconds": args.seconds,
         "seeds": list(seeds),
         "summary": summarize(pairs, better),
         "pairs": pairs,

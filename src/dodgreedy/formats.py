@@ -111,16 +111,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    """The graph format with edges in (u, v) order, u < v, read off the rows."""
     lines = [f"p {g.n} {g.num_edges}"]
-    for u, row in enumerate(g._adj, start=1):
-        row >>= u
-        v = u
-        while row:
-            low = row & -row
-            v += low.bit_length()
-            row >>= low.bit_length()
-            lines.append(f"e {u} {v}")
+    for u, v in g.sorted_edges():
+        lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
 
 

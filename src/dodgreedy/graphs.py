@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -78,14 +78,23 @@ class Graph:
         return hash((self.n, self._adj))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+        return f"Graph(n={self.n}, edges={list(self.sorted_edges())})"
+
+    def sorted_edges(self) -> Iterator[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v, in sorted order."""
+        for u, row in enumerate(self._adj):
+            row >>= u + 1  # bit i is now vertex u + 1 + i
+            v = u
+            while row:
+                step = (row & -row).bit_length()
+                v += step
+                row >>= step
+                yield u, v
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as (u, v) pairs with u < v."""
-        return frozenset(
-            (u, v) for u, row in enumerate(self._adj) for v in _bits(row >> u << u)
-        )
+        return frozenset(self.sorted_edges())
 
     @property
     def num_edges(self) -> int:

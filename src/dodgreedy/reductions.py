@@ -19,8 +19,7 @@ from .errors import BudgetExceededError
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
-    _GreedySolver,
-    _MisSolver,
+    _alpha_and_greedy,
     independence_number,
 )
 
@@ -266,10 +265,9 @@ class ReductionReport:
         return out
 
 
-def _exact(step: str, solve, *args) -> int:
-    """solve(*args), with a budget overrun reported under `step`."""
+def _exact(fn, graph: Graph, budget: int, step: str) -> int:
     try:
-        return solve(*args)
+        return fn(graph, budget)
     except BudgetExceededError as exc:
         raise BudgetExceededError(step, exc.budget) from None
 
@@ -277,33 +275,34 @@ def _exact(step: str, solve, *args) -> int:
 def _exact_pair(graph: Graph, budget: int, name: str) -> tuple[int, int]:
     """Alpha and best greedy value of `graph`, the greedy search bounded by
     the alpha memo as in achieves_ratio."""
-    full = (1 << graph.n) - 1
-    mis = _MisSolver(graph, budget)
-    alpha = _exact(f"alpha({name})", mis.solve, full)
-    greedy = _exact(f"mdg({name})", _GreedySolver(graph, budget, mis.cache).solve, full)
-    return alpha, greedy
+    try:
+        return _alpha_and_greedy(graph, budget)
+    except BudgetExceededError as exc:
+        step = "alpha" if exc.what == "independence number" else "mdg"
+        raise BudgetExceededError(f"{step}({name})", exc.budget) from None
 
 
 def verify_reduction(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> ReductionReport:
     """Build the artifact and measure every contract with the exact solvers.
 
     Every stage is measured as build_reduction made it (the artifact's
-    `stages`), and the report carries the artifact.  Raises BudgetExceededError naming the
-    subcomputation if any exact solve outruns the state budget; a report is
-    only returned when every quantity was computed exactly.
+    `stages`), and the report carries the artifact.  Raises
+    BudgetExceededError naming the subcomputation if any exact solve outruns
+    the state budget; a report is only returned when every quantity was
+    computed exactly.
     """
     artifact = build_reduction(g, h)
     g2, h2, gp, hp, gpp, hpp = artifact.stages
     k, n = artifact.k, artifact.n
 
-    alpha_g = _exact("alpha(G)", independence_number, g, budget)
-    alpha_h = _exact("alpha(H)", independence_number, h, budget)
-    alpha_g2 = _exact("alpha(G padded)", independence_number, g2, budget)
-    alpha_h2 = _exact("alpha(H padded)", independence_number, h2, budget)
+    alpha_g = _exact(independence_number, g, budget, "alpha(G)")
+    alpha_h = _exact(independence_number, h, budget, "alpha(H)")
+    alpha_g2 = _exact(independence_number, g2, budget, "alpha(G padded)")
+    alpha_h2 = _exact(independence_number, h2, budget, "alpha(H padded)")
     alpha_gp, greedy_gp = _exact_pair(gp, budget, "G'")
     alpha_hp, greedy_hp = _exact_pair(hp, budget, "H'")
-    alpha_gpp = _exact("alpha(G'')", independence_number, gpp, budget)
-    alpha_hpp = _exact("alpha(H'')", independence_number, hpp, budget)
+    alpha_gpp = _exact(independence_number, gpp, budget, "alpha(G'')")
+    alpha_hpp = _exact(independence_number, hpp, budget, "alpha(H'')")
     alpha_ghat, greedy_ghat = _exact_pair(artifact.graph, budget, "Ghat")
 
     checks = (

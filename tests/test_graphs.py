@@ -443,6 +443,7 @@ def test_edge_order_and_duplicates_do_not_matter(g, rng):
 @settings(deadline=None, max_examples=80)
 def test_edges_round_trip(g):
     assert all(u < v for u, v in g.edges)
+    assert list(g.sorted_edges()) == sorted(g.edges)
     assert g.num_edges == len(g.edges)
     assert Graph(g.n, g.edges) == g
     assert formats.parse_graph(formats.format_graph(g)) == g
