@@ -71,7 +71,7 @@ def election_payload(e: Election) -> dict:
 
 
 def graph_payload(g: Graph) -> dict:
-    return {"n": g.n, "edges": sorted(list(edge) for edge in g.edges)}
+    return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
 
 
 def score_query(e: Election, candidate: int, k: int) -> Query:

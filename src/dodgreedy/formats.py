@@ -58,18 +58,43 @@ def format_election(e: Election) -> str:
 
 def parse_graph(text: str) -> Graph:
     """Parse the graph format: header `p <n> <m>`, then `m` edge lines
-    `e <u> <v>` with 1-based endpoints. `c` lines are comments."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    edge_lines = 0
+    `e <u> <v>` with 1-based endpoints. `c` lines are comments.
+
+    Each edge is set straight into the adjacency rows, so a repeated edge
+    is one bit test and the parse is linear in the text.
+    """
+    rows: list[int] | None = None
+    n = m = edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
-            if header is not None:
+        head = fields[0]
+        if head == "e":
+            if rows is None:
+                raise ParseError(f"line {lineno}: edge before header")
+            if len(fields) != 3:
+                raise ParseError(f"line {lineno}: edge must be `e <u> <v>`")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: edge must be `e <u> <v>`") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"line {lineno}: vertex out of range 1..{n}")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+            edge_lines += 1
+            bit = 1 << (v - 1)
+            row = rows[u - 1]
+            if row & bit:
+                warnings.warn(f"line {lineno}: duplicate edge {u} {v} collapsed")
+            else:
+                rows[u - 1] = row | bit
+                rows[v - 1] |= 1 << (u - 1)
+        elif head[0] == "c":  # a comment: the line's first field starts with `c`
+            continue
+        elif head == "p":
+            if rows is not None:
                 raise ParseError(f"line {lineno}: repeated header")
             if len(fields) != 3:
                 raise ParseError(f"line {lineno}: header must be `p <n> <m>`")
@@ -79,41 +104,30 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: header must be `p <n> <m>`") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: header counts must be nonnegative")
-            header = (n, m)
-        elif fields[0] == "e":
-            if header is None:
-                raise ParseError(f"line {lineno}: edge before header")
-            if len(fields) != 3:
-                raise ParseError(f"line {lineno}: edge must be `e <u> <v>`")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: edge must be `e <u> <v>`") from None
-            n = header[0]
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"line {lineno}: vertex out of range 1..{n}")
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-            edge_lines += 1
-            edge = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if edge in seen:
-                warnings.warn(f"line {lineno}: duplicate edge {u} {v} collapsed")
-            else:
-                seen.add(edge)
-                edges.append(edge)
+            rows = [0] * n
         else:
-            raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
-    if header is None:
+            raise ParseError(f"line {lineno}: unknown directive {head!r}")
+    if rows is None:
         raise ParseError("line 1: missing `p <n> <m>` header")
-    if edge_lines != header[1]:
-        raise ParseError(f"header declared {header[1]} edges, found {edge_lines}")
-    return Graph(header[0], edges)
+    if edge_lines != m:
+        raise ParseError(f"header declared {m} edges, found {edge_lines}")
+    return Graph._from_rows(rows)
 
 
 def format_graph(g: Graph) -> str:
+    """The graph format, edges in sorted order, read off the adjacency rows."""
+    names = [str(v) for v in range(1, g.n + 1)]  # names[v] is vertex v's 1-based number
     lines = [f"p {g.n} {g.num_edges}"]
-    for u, v in g.sorted_edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    for u, row in enumerate(g._adj):
+        row >>= u + 1  # bit i is now vertex u + 1 + i
+        if row:
+            prefix = f"e {names[u]} "
+            v = u
+            while row:
+                step = (row & -row).bit_length()
+                v += step
+                row >>= step
+                lines.append(prefix + names[v])
     return "\n".join(lines) + "\n"
 
 

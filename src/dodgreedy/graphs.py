@@ -165,9 +165,11 @@ def _components(adj: Sequence[int], mask: int) -> list[int]:
         frontier = seed
         while frontier:
             grow = 0
-            for v in _bits(frontier):
-                grow |= adj[v] & mask
-            frontier = grow & ~comp
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= adj[low.bit_length() - 1]
+            frontier = grow & mask & ~comp
             comp |= frontier
         comps.append(comp)
         rest &= ~comp
@@ -188,10 +190,12 @@ def _co_components(adj: Sequence[int], mask: int) -> list[int]:
         comp = seed
         frontier = seed
         while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= ~adj[v]
-            frontier = grow & rest & ~comp
+            common = -1  # the vertices adjacent to the whole frontier
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                common &= adj[low.bit_length() - 1]
+            frontier = rest & ~(common | comp)
             comp |= frontier
         comps.append(comp)
         rest &= ~comp
@@ -201,7 +205,11 @@ def _co_components(adj: Sequence[int], mask: int) -> list[int]:
 def _min_degree_vertices(adj: Sequence[int], mask: int) -> list[int]:
     """The vertices of `mask` with minimum residual degree, in increasing order."""
     ties, mind = [], len(adj)  # every degree is below the vertex count
-    for v in _bits(mask):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
         d = (adj[v] & mask).bit_count()
         if d < mind:
             ties, mind = [v], d
@@ -360,8 +368,11 @@ class _MisSolver(_Search):
         # neighbourhood; the common neighbours are best_v and its twins
         nb = adj[best_v] & comp
         twins = comp
-        for v in _bits(nb):
-            twins &= adj[v]
+        rest = nb
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            twins &= adj[low.bit_length() - 1]
         include = twins.bit_count() + self.solve(comp & ~(twins | nb))
         exclude = self.solve(comp & ~twins)
         return taken + max(include, exclude)

@@ -101,7 +101,7 @@ def double_subdivision(g: Graph) -> Graph:
     """
     edges = []
     fresh = g.n
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges():
         a, b = fresh, fresh + 1
         fresh += 2
         edges += [(u, a), (a, b), (b, v)]

@@ -286,3 +286,10 @@ def test_one_solve_per_distinct_instance(monkeypatch, greedy_gap_graph, four_vot
     av = qb.evaluate_batch(qb.QueryBatch(tuple(queries)), budget=1)
     assert av.answers == (True, True, False, False)
     assert calls == {}
+
+
+@given(st.integers(0, 40), st.floats(0, 1), st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=60)
+def test_graph_payload_lists_sorted_edges(n, density, rng):
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density])
+    assert qb.graph_payload(g) == {"n": n, "edges": sorted(list(e) for e in g.edges)}

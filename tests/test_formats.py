@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,120 @@ class TestGraphFormat:
         g = Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density])
         sorted_edges = [f"p {n} {g.num_edges}"] + [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)]
         assert fmt.format_graph(g) == "\n".join(sorted_edges) + "\n"
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """The edge-list parser `parse_graph` replaced, kept verbatim as a referee."""
+    header: tuple[int, int] | None = None
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    edge_lines = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if header is not None:
+                raise ParseError(f"line {lineno}: repeated header")
+            if len(fields) != 3:
+                raise ParseError(f"line {lineno}: header must be `p <n> <m>`")
+            try:
+                n, m = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: header must be `p <n> <m>`") from None
+            if n < 0 or m < 0:
+                raise ParseError(f"line {lineno}: header counts must be nonnegative")
+            header = (n, m)
+        elif fields[0] == "e":
+            if header is None:
+                raise ParseError(f"line {lineno}: edge before header")
+            if len(fields) != 3:
+                raise ParseError(f"line {lineno}: edge must be `e <u> <v>`")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: edge must be `e <u> <v>`") from None
+            n = header[0]
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"line {lineno}: vertex out of range 1..{n}")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+            edge_lines += 1
+            edge = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if edge in seen:
+                warnings.warn(f"line {lineno}: duplicate edge {u} {v} collapsed")
+            else:
+                seen.add(edge)
+                edges.append(edge)
+        else:
+            raise ParseError(f"line {lineno}: unknown directive {fields[0]!r}")
+    if header is None:
+        raise ParseError("line 1: missing `p <n> <m>` header")
+    if edge_lines != header[1]:
+        raise ParseError(f"header declared {header[1]} edges, found {edge_lines}")
+    return Graph(header[0], edges)
+
+
+BLANKS_AND_COMMENTS = ["", "   ", "\t", "c", "cfoo", "c e 1 2", "  c p 1 0", "ce 1 2"]
+BAD_HEADERS = ["p 3", "p", "p x 2", "p 2 y", "p -1 0", "p 2 -1", "p 1 2 3", "p 2.0 1"]
+BAD_LINES = [
+    "e", "e 1", "e 1 2 3", "e x 1", "e 1 y", "e 0 1", "e 1 1", "e -1 2", "e 2 2",
+    "x 1 2", "E 1 2", "pp 1 0", "ee 1 2", "q", "p 2 1", *BAD_HEADERS,
+]
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph-format text: edges (duplicates in both orders, endpoints
+    sometimes out of range or equal), blanks and comments, now and then a
+    bad line, the header usually first but also late, missing or repeated,
+    its edge count usually right, lines padded with assorted whitespace."""
+    n = draw(st.integers(0, 6))
+    wild = st.builds("e {} {}".format, st.integers(-1, n + 2), st.integers(-1, n + 2))
+    pairs = [f"e {u} {v}" for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edge = st.sampled_from(pairs or BLANKS_AND_COMMENTS)  # no valid edge below 2 vertices
+    line = st.one_of(edge, edge, edge, edge, edge, edge, wild, st.sampled_from(BLANKS_AND_COMMENTS))
+    body = draw(st.lists(line, max_size=16))
+    for bad in draw(st.lists(st.sampled_from(BAD_LINES), max_size=2)):
+        body.insert(draw(st.integers(0, len(body))), bad)
+    edge_lines = sum(line.split()[:1] == ["e"] for line in body)
+    m = draw(st.sampled_from([edge_lines] * 3 + [edge_lines + 1, abs(edge_lines - 1)]))
+    for i in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2]))):
+        late = i or draw(st.sampled_from([False, False, False, True]))
+        body.insert(draw(st.integers(0, len(body))) if late else 0, f"p {n} {m}")
+    pad = st.sampled_from(["", "", " ", "\t", "  ", "\u00a0", "\x0c"])
+    lines = [draw(pad) + line + draw(pad) for line in body]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def parse_outcome(parse, text):
+    """The graph or the ParseError text, and the warning messages in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except ParseError as exc:
+            result = f"ParseError: {exc}"
+    return result, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+@given(graph_texts())
+@settings(deadline=None, max_examples=400)
+def test_parse_graph_matches_reference_parser(text):
+    assert parse_outcome(fmt.parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+
+@given(st.integers(1, 9), st.data())
+@settings(deadline=None, max_examples=100)
+def test_parse_graph_matches_reference_on_valid_edge_lists(n, data):
+    """Many valid edges and duplicates in both endpoint orders, no odd lines."""
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pairs, max_size=40))
+    text = f"p {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    graph, caught = parse_outcome(fmt.parse_graph, text)
+    assert (graph, caught) == parse_outcome(reference_parse_graph, text)
+    assert isinstance(graph, Graph) and len(caught) == len(edges) - graph.num_edges
 
 
 class TestPartmapFormat:

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dodgreedy import formats
@@ -196,6 +196,19 @@ class TestIndependenceNumber:
         g = blow_up(base, sizes)
         for h in (g, join(g, Graph.cycle(5))):
             assert gr.independence_number(h) == oracles.independence_by_enumeration(h)
+
+    # the branch vertex 0 has neighbour 4 adjacent to its other neighbours,
+    # which a twin scan must not count as a twin
+    @example(Graph(6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5)]))
+    @given(st.builds(
+        lambda n, density, rng: Graph(
+            n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density]
+        ),
+        st.integers(6, 12), st.floats(0.4, 0.9), st.randoms(use_true_random=False),
+    ))
+    @settings(deadline=None, max_examples=100)
+    def test_dense_graphs_match_enumeration(self, g):
+        assert gr.independence_number(g) == oracles.independence_by_enumeration(g)
 
     @given(twins_and_joins())
     @settings(deadline=None, max_examples=150)
@@ -449,3 +462,40 @@ def test_edges_round_trip(g):
     assert formats.parse_graph(formats.format_graph(g)) == g
     assert g.complement().complement() == g
     assert g.complement().num_edges == g.n * (g.n - 1) // 2 - g.num_edges
+
+
+def naive_components(g, mask, complement=False):
+    """The components of g (or of its complement) induced on `mask`, as
+    vertex sets in order of their lowest vertex, by search over sets."""
+    left = {v for v in range(g.n) if mask >> v & 1}
+    comps = []
+    while left:
+        comp = {min(left)}
+        stack = list(comp)
+        while stack:
+            u = stack.pop()
+            for w in sorted(left - comp):
+                if g.has_edge(u, w) != complement:
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+        left -= comp
+    return comps
+
+
+def bitmask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+@given(graph_strategy(max_n=10), st.integers(0, 2**10 - 1))
+@settings(deadline=None, max_examples=300)
+def test_bit_walk_helpers_match_set_versions(g, mask):
+    mask &= (1 << g.n) - 1
+    assert gr._components(g._adj, mask) == [bitmask(c) for c in naive_components(g, mask)]
+    assert gr._co_components(g._adj, mask) == [
+        bitmask(c) for c in naive_components(g, mask, complement=True)
+    ]
+    inside = [v for v in range(g.n) if mask >> v & 1]
+    degree = {v: sum(g.has_edge(v, w) for w in inside) for v in inside}
+    lowest = min(degree.values(), default=None)
+    assert gr._min_degree_vertices(g._adj, mask) == [v for v in inside if degree[v] == lowest]
