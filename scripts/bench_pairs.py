@@ -10,7 +10,8 @@ run.py's own default length, the same on both sides.  The file named by
 --out gains one entry per workload (an existing entry for the workload is
 replaced): every run's metrics, answer counts and measured wall time, and
 per metric the median and quartiles of each side and the number of pairs
-the change won.
+the change won.  A run that answered anything wrong or failed a request
+is still written, then named on stderr, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -117,6 +118,16 @@ def main() -> None:
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+    bad = [
+        (p["seed"], side, p[side]) for p in pairs for side in ("parent", "change")
+        if not p[side]["correct"] or p[side]["failed"] > 0
+    ]
+    for seed, side, run in bad:
+        print(f"BAD RUN: {args.workload} seed {seed} {side}: correct={run['correct']}, "
+              f"failed {run['failed']} of {run['attempted']}", file=sys.stderr)
+    if bad:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

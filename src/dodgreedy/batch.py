@@ -23,14 +23,6 @@ from .graphs import DEFAULT_BUDGET, Graph, Ratio
 
 QUERY_KINDS = ("score_at_most", "alpha_geq", "mdg_geq")
 
-_evaluations = 0
-
-
-def evaluations() -> int:
-    """Total evaluate_batch calls so far (lets tests assert single-round use)."""
-    return _evaluations
-
-
 @dataclass(frozen=True)
 class Query:
     """One yes/no question: a serialized instance plus a threshold."""
@@ -140,8 +132,6 @@ def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVec
     the batch.  Resource-limit errors propagate: an exhausted budget is a
     failed computation, not a malformed question.
     """
-    global _evaluations
-    _evaluations += 1
     decoded: dict[tuple[int, Callable], tuple[object, object]] = {}
 
     def decode(obj, build):

@@ -10,6 +10,11 @@ trace) from the memo.  Its two rule sets differ only in how a residual set
 is scored and which vertices may be taken first: any vertex for the
 independence number, a minimum-degree vertex for greedy.
 
+A rule is a generator: it yields each smaller residual set it needs and
+receives that set's value back.  The core runs the suspended rules on an
+explicit stack, so a search over an n-vertex graph needs no interpreter
+recursion and leaves the process's recursion limit alone.
+
 Both searches prune only by exact rules.  The independence search takes any
 simplicial vertex (one whose residual neighbourhood is a clique) without
 branching, branches on a whole class of false twins (vertices with equal
@@ -21,10 +26,9 @@ alpha <= the size of any partition into cliques.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -248,40 +252,49 @@ def _clique_cover_size(adj: Sequence[int], mask: int) -> int:
     return count
 
 
-def _ensure_recursion_room(n: int) -> None:
-    want = 4 * n + 1000
-    if sys.getrecursionlimit() < want:
-        sys.setrecursionlimit(want)
-
-
 class _Search:
     """Memoized best-value search over vertex subsets of one graph.
 
     A subclass gives the rules: `_value(mask)` scores a nonempty residual
-    set through `solve` on smaller sets, and `_choices(mask)` names the
-    vertices a best solution may take first.  Taking a vertex removes it
-    and its neighbors and counts one; `picks` replays those choices to
-    recover a solution.  At most `budget` states are stored; a search that
-    needs more raises BudgetExceededError naming the subclass's `what`.
+    set, and `_choices(mask)` names the vertices a best solution may take
+    first.  `_value` is a generator: each `(yield sub)` hands `solve` a
+    smaller residual set and receives its value, and the generator returns
+    the value of `mask`.  `solve` keeps the suspended rules on a stack,
+    answers a yielded set from the memo when it can and otherwise pushes
+    that set's rule, so the stack's length is the search depth.  Taking a
+    vertex removes it and its neighbors and counts one; `picks` replays
+    those choices to recover a solution.  At most `budget` states are
+    stored; a search that needs more raises BudgetExceededError naming the
+    subclass's `what`.
     """
 
     def __init__(self, g: Graph, budget: int):
         self.adj = g._adj
         self.budget = budget
-        self.cache: dict[int, int] = {}
-        _ensure_recursion_room(g.n)
+        self.cache: dict[int, int] = {0: 0}  # the empty set is free, not a state
 
     def solve(self, mask: int) -> int:
-        if mask == 0:
-            return 0
-        hit = self.cache.get(mask)
-        if hit is not None:
-            return hit
-        value = self._value(mask)
-        if len(self.cache) >= self.budget:
-            raise BudgetExceededError(self.what, self.budget)
-        self.cache[mask] = value
-        return value
+        cache = self.cache
+        value = cache.get(mask)
+        if value is not None:
+            return value
+        masks, rules = [mask], [self._value(mask)]
+        while True:
+            try:
+                sub = rules[-1].send(value)
+            except StopIteration as done:
+                value = done.value
+                if len(cache) > self.budget:  # the empty set is not counted
+                    raise BudgetExceededError(self.what, self.budget) from None
+                cache[masks.pop()] = value
+                rules.pop()
+                if not rules:
+                    return value
+                continue
+            value = cache.get(sub)
+            if value is None:
+                masks.append(sub)
+                rules.append(self._value(sub))
 
     def picks(self, mask: int) -> list[int]:
         picks = []
@@ -321,7 +334,7 @@ class _MisSolver(_Search):
 
     what = "independence number"
 
-    def _value(self, mask: int) -> int:
+    def _value(self, mask: int) -> Generator[int, int, int]:
         adj = self.adj
         taken = 0
         work = mask
@@ -351,7 +364,9 @@ class _MisSolver(_Search):
 
         comps = _components(adj, work)
         if len(comps) > 1:
-            return taken + sum(self.solve(c) for c in comps)
+            for c in comps:
+                taken += yield c
+            return taken
 
         comp = comps[0]
         if best_d == 2:
@@ -361,7 +376,10 @@ class _MisSolver(_Search):
         if 2 * best_d >= comp.bit_count():
             parts = _co_components(adj, comp)
             if len(parts) > 1:
-                return taken + max(self.solve(p) for p in parts)
+                best = 0
+                for p in parts:
+                    best = max(best, (yield p))
+                return taken + best
 
         # best_v's false twins: a vertex adjacent to all of best_v's
         # neighbours has at least its (maximum) degree, so exactly its
@@ -373,8 +391,8 @@ class _MisSolver(_Search):
             low = rest & -rest
             rest ^= low
             twins &= adj[low.bit_length() - 1]
-        include = twins.bit_count() + self.solve(comp & ~(twins | nb))
-        exclude = self.solve(comp & ~twins)
+        include = twins.bit_count() + (yield comp & ~(twins | nb))
+        exclude = yield comp & ~twins
         return taken + max(include, exclude)
 
     def _choices(self, mask: int) -> Iterable[int]:
@@ -402,13 +420,16 @@ class _GreedySolver(_Search):
         super().__init__(g, budget)
         self.alpha_memo = {} if alpha_memo is None else alpha_memo
 
-    def _value(self, mask: int) -> int:
+    def _value(self, mask: int) -> Generator[int, int, int]:
         adj = self.adj
         comps = _components(adj, mask)
         if len(comps) > 1:
-            return sum(self.solve(c) for c in comps)
+            total = 0
+            for c in comps:
+                total += yield c
+            return total
         first, *ties = _min_degree_vertices(adj, mask)
-        best = 1 + self.solve(mask & ~((1 << first) | adj[first]))
+        best = 1 + (yield mask & ~((1 << first) | adj[first]))
         if ties:
             bound = self.alpha_memo.get(mask)
             if bound is None:
@@ -416,7 +437,7 @@ class _GreedySolver(_Search):
             for v in ties:
                 if best >= bound:
                     break
-                value = 1 + self.solve(mask & ~((1 << v) | adj[v]))
+                value = 1 + (yield mask & ~((1 << v) | adj[v]))
                 if value > best:
                     best = value
         return best

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,25 @@ class TestGreedyIndependenceNumber:
                 solve(g, budget=states - 1)
             assert exc.value.what == what
             assert exc.value.budget == states - 1
+
+
+    def test_long_path_needs_no_recursion(self):
+        """The solvers run at the interpreter's default recursion limit and
+        leave it as they found it."""
+        g = Graph.path(3000)
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert gr.independence_number(g) == 1500
+            assert gr.greedy_independence_number(g) == 1500
+            trace = gr.best_greedy_trace(g)
+            assert len(gr.replay_trace(g, trace)) == 1500
+            mis = gr.max_independent_set(g)
+            assert len(mis) == 1500
+            assert not any(g.has_edge(u, v) for u in mis for v in (u - 1, u + 1) if v in mis)
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestGreedyReaches:
