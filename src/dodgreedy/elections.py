@@ -79,6 +79,20 @@ class Election:
     def num_voters(self) -> int:
         return len(self.voters)
 
+    def __hash__(self):
+        # computed once: batches look the same election up once per query
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.candidates, self.voters))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # a str's hash differs between processes, so the stored one stays behind
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def name_of(self, c: int) -> str:
         return self.candidates[c].name
 

@@ -21,7 +21,12 @@ branching, branches on a whole class of false twins (vertices with equal
 residual neighbourhoods) at once, and scores a join of residual parts as
 its best part.  The greedy search stops trying tied picks once one reaches
 an upper bound on the independence number of the residual set: greedy <=
-alpha <= the size of any partition into cliques.
+alpha <= the size of any partition into cliques.  The bound is a greedy
+clique cover unless alpha of the set is known.  Alpha is computed lazily:
+only when the best tie so far is below the cover and the set is
+triangle-free (a double subdivision, say), where the cover is no better
+than a maximal matching.  All such probes share one independence memo,
+whose states count against the greedy search's budget.
 """
 
 from __future__ import annotations
@@ -43,10 +48,10 @@ class Graph:
     Self-loops are rejected; duplicate edges collapse.  A graph stores only
     its n adjacency rows (row v is a bitmask of v's neighbours); the edge
     set is derived from them on request.  Instances are immutable and safe
-    to share between threads.
+    to share between threads; the hash is computed once, when first asked.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -79,7 +84,12 @@ class Graph:
         return self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, self._adj))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self._adj))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.sorted_edges())})"
@@ -232,6 +242,22 @@ def _is_clique(adj: Sequence[int], mask: int) -> bool:
     return True
 
 
+def _is_triangle_free(adj: Sequence[int], mask: int) -> bool:
+    """Whether no three vertices of `mask` are pairwise adjacent."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        later = adj[low.bit_length() - 1] & rest  # neighbours above this vertex
+        nb = later
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            if adj[low.bit_length() - 1] & later:
+                return False
+    return True
+
+
 def _clique_cover_size(adj: Sequence[int], mask: int) -> int:
     """Number of cliques in a greedy partition of `mask` into cliques.
 
@@ -268,6 +294,8 @@ class _Search:
     subclass's `what`.
     """
 
+    spent = 0  # states stored by other searches against this one's budget
+
     def __init__(self, g: Graph, budget: int):
         self.adj = g._adj
         self.budget = budget
@@ -284,7 +312,7 @@ class _Search:
                 sub = rules[-1].send(value)
             except StopIteration as done:
                 value = done.value
-                if len(cache) > self.budget:  # the empty set is not counted
+                if len(cache) + self.spent > self.budget:  # the empty set is not counted
                     raise BudgetExceededError(self.what, self.budget) from None
                 cache[masks.pop()] = value
                 rules.pop()
@@ -410,15 +438,34 @@ class _GreedySolver(_Search):
     Any greedy run is an independent set, so no tie can beat the residual
     set's independence number, which no partition into cliques undercuts.
     Once a tie reaches that bound the rest are skipped.  The bound is the
-    exact alpha where `alpha_memo` (a `_MisSolver` cache, only read here)
-    holds the residual set, else `_clique_cover_size`.
+    exact alpha where the memo of `mis` (a `_MisSolver` on the same graph)
+    holds the residual set, else `_clique_cover_size`.  If the best tie so
+    far is below the cover and the residual set is triangle-free, `mis`
+    solves alpha exactly and it replaces the cover.  Without triangles every
+    clique of the cover has at most two vertices, so the cover is at least
+    half the set however small alpha is; with them (as in the reduction's
+    artifacts) greedy often stays below alpha anyway, and a probe would be
+    wasted.  A bound only prunes, so the value is exact either way.  The
+    alpha states a probe stores count against this search's budget.
     """
 
     what = "best greedy value"
 
-    def __init__(self, g: Graph, budget: int, alpha_memo: dict[int, int] | None = None):
+    def __init__(self, g: Graph, budget: int, mis: _MisSolver | None = None):
         super().__init__(g, budget)
-        self.alpha_memo = {} if alpha_memo is None else alpha_memo
+        self.mis = _MisSolver(g, budget) if mis is None else mis
+
+    def _alpha(self, mask: int) -> int:
+        """Alpha of `mask` from `mis`, within what is left of the budget."""
+        mis = self.mis
+        before = len(mis.cache)
+        mis.budget = self.budget - self.spent - len(self.cache) + before
+        try:
+            return mis.solve(mask)
+        except BudgetExceededError:
+            raise BudgetExceededError(self.what, self.budget) from None
+        finally:
+            self.spent += len(mis.cache) - before
 
     def _value(self, mask: int) -> Generator[int, int, int]:
         adj = self.adj
@@ -431,9 +478,11 @@ class _GreedySolver(_Search):
         first, *ties = _min_degree_vertices(adj, mask)
         best = 1 + (yield mask & ~((1 << first) | adj[first]))
         if ties:
-            bound = self.alpha_memo.get(mask)
+            bound = self.mis.cache.get(mask)
             if bound is None:
                 bound = _clique_cover_size(adj, mask)
+                if best < bound and _is_triangle_free(adj, mask):
+                    bound = self._alpha(mask)
             for v in ties:
                 if best >= bound:
                     break
@@ -530,11 +579,11 @@ def greedy_reaches(g: Graph, size: int, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def _alpha_and_greedy(g: Graph, budget: int) -> tuple[int, int]:
-    """Alpha and best greedy value, the greedy search bounded by alpha's memo."""
+    """Alpha and best greedy value, the greedy search bounded by alpha's solver."""
     full = (1 << g.n) - 1
     mis = _MisSolver(g, budget)
     alpha = mis.solve(full)
-    return alpha, _GreedySolver(g, budget, mis.cache).solve(full)
+    return alpha, _GreedySolver(g, budget, mis).solve(full)
 
 
 def _check_ratio(r: Ratio) -> Fraction:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,21 @@ class TestValidation:
     def test_rejects_unknown_name(self):
         with pytest.raises(ValueError):
             Election.from_names(["A", "B"], [["A", "X"]])
+
+    def test_equality_and_hash(self):
+        a = single(["A", "B"], ["A", "B"])
+        b = single(["A", "B"], ["A", "B"])
+        assert a == b and hash(a) == hash(b) == hash(a)
+        assert a != single(["A", "B"], ["B", "A"])
+        assert len({a, b, single(["A", "B"], ["B", "A"])}) == 2
+
+    def test_pickle_leaves_stored_hash_behind(self):
+        # a str's hash is per process, so an unpickled copy computes its own
+        e = single(["A", "B"], ["B", "A"])
+        hash(e)
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and "_hash" not in vars(copy)
+        assert hash(copy) == hash(e)
 
 
 class TestPairwiseTally:

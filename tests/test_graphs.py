@@ -299,17 +299,20 @@ class TestGreedyIndependenceNumber:
     # Stored-state counts of the exact searches: each call fits a budget of
     # exactly that many states and raises, naming itself, at one less.  On
     # the bands the simplicial rule leaves alpha one state and the cover
-    # bound stops greedy at its first tie; Petersen still branches.  On the
-    # reduction artifact alpha takes I1's 2n + 2 false twins as one branch
-    # and splits the joined parts (it stored 298 states one twin at a time).
+    # bound stops greedy at its first tie.  On the reduction artifact alpha
+    # takes I1's 2n + 2 false twins as one branch and splits the joined
+    # parts (it stored 298 states one twin at a time).  Greedy counts
+    # include the alpha states its probes of triangle-free residuals store:
+    # Petersen is 4 greedy + 5 alpha (28 with the cover bound alone), the
+    # artifact 115 + 8 (was 281).
     @pytest.mark.parametrize(
         "g, alpha_states, greedy_states",
         [
             (Graph.cycle(12).disjoint_union(Graph.cycle(12)), 3, 13),
             (band(40), 1, 14),
             (band(100), 1, 34),
-            (petersen(), 5, 28),
-            (red.build_reduction(Graph.path(3), Graph.complete(2)).graph, 20, 281),
+            (petersen(), 5, 9),
+            (red.build_reduction(Graph.path(3), Graph.complete(2)).graph, 20, 123),
         ],
         ids=["C12+C12", "P40^2", "P100^2", "Petersen", "artifact(P3,K2)"],
     )
@@ -324,6 +327,14 @@ class TestGreedyIndependenceNumber:
             assert exc.value.what == what
             assert exc.value.budget == states - 1
 
+    def test_budget_runs_out_inside_alpha_probe(self):
+        # Petersen's greedy search stores 4 states of its own, but its probe
+        # of the whole (triangle-free) graph needs 5 alpha states more
+        with pytest.raises(BudgetExceededError) as exc:
+            gr.greedy_independence_number(petersen(), budget=4)
+        assert exc.value.what == "best greedy value"
+        assert exc.value.budget == 4
+        assert exc.value.__context__.what == "independence number"  # the probe's
 
     def test_long_path_needs_no_recursion(self):
         """The solvers run at the interpreter's default recursion limit and
@@ -412,6 +423,32 @@ def test_greedy_never_exceeds_alpha(g):
     greedy = gr.greedy_independence_number(g)
     assert greedy <= gr.independence_number(g)
     assert greedy == oracles.greedy_max_by_enumeration(g)
+
+
+@st.composite
+def small_base(draw):
+    """A graph with at most 5 vertices and at most 6 edges."""
+    n = draw(st.integers(0, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    return Graph(n, edges)
+
+
+@given(small_base())
+@example(Graph(5, [e for e in itertools.combinations(range(5), 2) if e != (0, 4)]))
+@settings(deadline=None, max_examples=100)
+def test_greedy_on_double_subdivisions_matches_enumeration(base):
+    # double subdivisions are triangle-free, where greedy is bounded by
+    # exact alpha probes; the oracle walks every tie sequence without alpha.
+    # No base this small needs a tight bound: greedy kept correct values on
+    # all of them with alpha - 2 as the bound.  K5 minus an edge (the
+    # example) is the smallest base on which alpha - 1 gives a wrong value.
+    g = red.double_subdivision(base)
+    greedy = gr.greedy_independence_number(g)
+    assert greedy == oracles.greedy_max_by_enumeration(g)
+    trace = gr.best_greedy_trace(g)
+    assert gr.replay_trace(g, trace) == frozenset(trace.picks)
+    assert len(trace) == greedy
 
 
 @given(graph_strategy())
