@@ -10,8 +10,10 @@ run.py's own default length, the same on both sides.  The file named by
 --out gains one entry per workload (an existing entry for the workload is
 replaced): every run's metrics, answer counts and measured wall time, and
 per metric the median and quartiles of each side and the number of pairs
-the change won.  A run that answered anything wrong or failed a request
-is still written, then named on stderr, and the script exits 1.
+the change won.  The file is rewritten after every pair, so a run that
+crashes loses only its own pair; the entry's `seeds` lists the pairs that
+finished.  A run that answered anything wrong or failed a request is still
+written, then named on stderr, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ def main() -> None:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
+    doc.setdefault("host", host())
+    if args.note:
+        doc["note"] = args.note
     pairs = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -107,17 +113,12 @@ def main() -> None:
             pair[side] = run_once(getattr(args, side), args.workload, seed)
             print(args.workload, seed, side, pair[side]["metrics"], file=sys.stderr)
         pairs.append(pair)
-
-    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
-    doc.setdefault("host", host())
-    if args.note:
-        doc["note"] = args.note
-    doc.setdefault("workloads", {})[args.workload] = {
-        "seeds": list(seeds),
-        "summary": summarize(pairs, better),
-        "pairs": pairs,
-    }
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        doc.setdefault("workloads", {})[args.workload] = {
+            "seeds": [p["seed"] for p in pairs],
+            "summary": summarize(pairs, better),
+            "pairs": pairs,
+        }
+        args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
     bad = [
         (p["seed"], side, p[side]) for p in pairs for side in ("parent", "change")

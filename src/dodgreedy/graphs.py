@@ -26,7 +26,8 @@ clique cover unless alpha of the set is known.  Alpha is computed lazily:
 only when the best tie so far is below the cover and the set is
 triangle-free (a double subdivision, say), where the cover is no better
 than a maximal matching.  All such probes share one independence memo,
-whose states count against the greedy search's budget.
+whose `owner` is the greedy search while it probes: every state a probe
+stores adds to the greedy search's `stored` count, against its budget.
 """
 
 from __future__ import annotations
@@ -289,16 +290,18 @@ class _Search:
     answers a yielded set from the memo when it can and otherwise pushes
     that set's rule, so the stack's length is the search depth.  Taking a
     vertex removes it and its neighbors and counts one; `picks` replays
-    those choices to recover a solution.  At most `budget` states are
-    stored; a search that needs more raises BudgetExceededError naming the
-    subclass's `what`.
+    those choices to recover a solution.  Each state stored is counted in
+    the `stored` of the search's `owner` (itself when `owner` is None):
+    once `owner.stored` reaches `owner.budget`, storing one more raises
+    BudgetExceededError naming the owner's `what`.
     """
 
-    spent = 0  # states stored by other searches against this one's budget
+    owner: _Search | None = None
 
     def __init__(self, g: Graph, budget: int):
         self.adj = g._adj
         self.budget = budget
+        self.stored = 0
         self.cache: dict[int, int] = {0: 0}  # the empty set is free, not a state
 
     def solve(self, mask: int) -> int:
@@ -306,14 +309,16 @@ class _Search:
         value = cache.get(mask)
         if value is not None:
             return value
+        owner = self.owner or self
         masks, rules = [mask], [self._value(mask)]
         while True:
             try:
                 sub = rules[-1].send(value)
             except StopIteration as done:
                 value = done.value
-                if len(cache) + self.spent > self.budget:  # the empty set is not counted
-                    raise BudgetExceededError(self.what, self.budget) from None
+                if owner.stored >= owner.budget:
+                    raise BudgetExceededError(owner.what, owner.budget) from None
+                owner.stored += 1
                 cache[masks.pop()] = value
                 rules.pop()
                 if not rules:
@@ -445,8 +450,11 @@ class _GreedySolver(_Search):
     clique of the cover has at most two vertices, so the cover is at least
     half the set however small alpha is; with them (as in the reduction's
     artifacts) greedy often stays below alpha anyway, and a probe would be
-    wasted.  A bound only prunes, so the value is exact either way.  The
-    alpha states a probe stores count against this search's budget.
+    wasted.  A bound only prunes, so the value is exact either way.  This
+    solver is the `owner` of `mis` during a probe, so the probe's states add
+    to its own `stored`; those `mis` stored before do not (alpha's, in
+    `_alpha_and_greedy`).  The owner is reset after each probe, so no
+    reference cycle keeps a finished search's memos alive.
     """
 
     what = "best greedy value"
@@ -454,18 +462,6 @@ class _GreedySolver(_Search):
     def __init__(self, g: Graph, budget: int, mis: _MisSolver | None = None):
         super().__init__(g, budget)
         self.mis = _MisSolver(g, budget) if mis is None else mis
-
-    def _alpha(self, mask: int) -> int:
-        """Alpha of `mask` from `mis`, within what is left of the budget."""
-        mis = self.mis
-        before = len(mis.cache)
-        mis.budget = self.budget - self.spent - len(self.cache) + before
-        try:
-            return mis.solve(mask)
-        except BudgetExceededError:
-            raise BudgetExceededError(self.what, self.budget) from None
-        finally:
-            self.spent += len(mis.cache) - before
 
     def _value(self, mask: int) -> Generator[int, int, int]:
         adj = self.adj
@@ -482,7 +478,11 @@ class _GreedySolver(_Search):
             if bound is None:
                 bound = _clique_cover_size(adj, mask)
                 if best < bound and _is_triangle_free(adj, mask):
-                    bound = self._alpha(mask)
+                    self.mis.owner = self
+                    try:
+                        bound = self.mis.solve(mask)
+                    finally:
+                        self.mis.owner = None
             for v in ties:
                 if best >= bound:
                     break

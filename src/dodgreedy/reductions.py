@@ -265,18 +265,11 @@ class ReductionReport:
         return out
 
 
-def _exact(fn, graph: Graph, budget: int, step: str) -> int:
+def _exact(solve, graph: Graph, budget: int, name: str):
+    """`solve(graph, budget)`, a budget overrun renamed to the step that ran
+    out: alpha(name) for the independence number, else mdg(name)."""
     try:
-        return fn(graph, budget)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(step, exc.budget) from None
-
-
-def _exact_pair(graph: Graph, budget: int, name: str) -> tuple[int, int]:
-    """Alpha and best greedy value of `graph`, the greedy search bounded by
-    the alpha memo as in achieves_ratio."""
-    try:
-        return _alpha_and_greedy(graph, budget)
+        return solve(graph, budget)
     except BudgetExceededError as exc:
         step = "alpha" if exc.what == "independence number" else "mdg"
         raise BudgetExceededError(f"{step}({name})", exc.budget) from None
@@ -295,15 +288,15 @@ def verify_reduction(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> Reduct
     g2, h2, gp, hp, gpp, hpp = artifact.stages
     k, n = artifact.k, artifact.n
 
-    alpha_g = _exact(independence_number, g, budget, "alpha(G)")
-    alpha_h = _exact(independence_number, h, budget, "alpha(H)")
-    alpha_g2 = _exact(independence_number, g2, budget, "alpha(G padded)")
-    alpha_h2 = _exact(independence_number, h2, budget, "alpha(H padded)")
-    alpha_gp, greedy_gp = _exact_pair(gp, budget, "G'")
-    alpha_hp, greedy_hp = _exact_pair(hp, budget, "H'")
-    alpha_gpp = _exact(independence_number, gpp, budget, "alpha(G'')")
-    alpha_hpp = _exact(independence_number, hpp, budget, "alpha(H'')")
-    alpha_ghat, greedy_ghat = _exact_pair(artifact.graph, budget, "Ghat")
+    alpha_g = _exact(independence_number, g, budget, "G")
+    alpha_h = _exact(independence_number, h, budget, "H")
+    alpha_g2 = _exact(independence_number, g2, budget, "G padded")
+    alpha_h2 = _exact(independence_number, h2, budget, "H padded")
+    alpha_gp, greedy_gp = _exact(_alpha_and_greedy, gp, budget, "G'")
+    alpha_hp, greedy_hp = _exact(_alpha_and_greedy, hp, budget, "H'")
+    alpha_gpp = _exact(independence_number, gpp, budget, "G''")
+    alpha_hpp = _exact(independence_number, hpp, budget, "H''")
+    alpha_ghat, greedy_ghat = _exact(_alpha_and_greedy, artifact.graph, budget, "Ghat")
 
     checks = (
         ("pad-edges-equal-count", g2.num_edges == h2.num_edges == k),

@@ -37,6 +37,7 @@ D P C
 """
 
 RANDOM_SEED = 20260810
+RANDOM_PAIRS = 50  # random 1-4-vertex pairs the reduction check adds to the tiny ones
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,9 @@ def check_score_oracle() -> CheckResult:
     return _result("score-oracle", started, failures, f"{cases} profile/candidate cases")
 
 
-def _greedy_and_ratio(corpus: list[Graph]) -> tuple[CheckResult, CheckResult]:
+def check_greedy_and_ratio() -> tuple[CheckResult, CheckResult]:
+    """Best-greedy values vs naive tie enumeration, then ratio-class checks."""
+    corpus = graph_corpus()
     started = time.perf_counter()
     greedy_failures: list[str] = []
     for g in corpus:
@@ -187,11 +190,6 @@ def _greedy_and_ratio(corpus: list[Graph]) -> tuple[CheckResult, CheckResult]:
         "ratio-consistency", started, ratio_failures, f"{len(corpus)} graphs x 3 ratios"
     )
     return greedy, ratio
-
-
-def check_greedy_and_ratio() -> tuple[CheckResult, CheckResult]:
-    """Best-greedy values vs naive tie enumeration, then ratio-class checks."""
-    return _greedy_and_ratio(graph_corpus())
 
 
 def check_trees_greedy_optimal() -> CheckResult:
@@ -229,7 +227,7 @@ def check_transform_contract() -> CheckResult:
     return _result("transform-contract", started, failures, f"{count} graphs")
 
 
-def check_reduction_soundness(extra_pairs: int = 50) -> CheckResult:
+def check_reduction_soundness() -> CheckResult:
     """verify_reduction passes on exhaustive tiny pairs and random pairs.
 
     A budget overrun or a pair running past 60 seconds counts as a failure
@@ -240,7 +238,7 @@ def check_reduction_soundness(extra_pairs: int = 50) -> CheckResult:
     tiny = [g for n in range(1, 4) for g in all_graphs(n)]
     pairs = [(g, h) for g in tiny for h in tiny]
     rng = random.Random(RANDOM_SEED + 1)
-    for _ in range(extra_pairs):
+    for _ in range(RANDOM_PAIRS):
         pairs.append((random_graph(rng, rng.randint(1, 4)), random_graph(rng, rng.randint(1, 4))))
     slowest = 0.0
     for g, h in pairs:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -328,13 +330,76 @@ class TestGreedyIndependenceNumber:
             assert exc.value.budget == states - 1
 
     def test_budget_runs_out_inside_alpha_probe(self):
-        # Petersen's greedy search stores 4 states of its own, but its probe
-        # of the whole (triangle-free) graph needs 5 alpha states more
+        # Petersen's greedy search stores 3 states before it probes the whole
+        # (triangle-free) graph, whose alpha needs 5 states; at a budget of 4
+        # the probe stores one and overflows on the next.  The probe never
+        # finished (its memo lacks the whole graph), so the error came from
+        # inside it, and it names the greedy search that owns the count.
+        solver = gr._GreedySolver(petersen(), 4)
+        full = (1 << 10) - 1
         with pytest.raises(BudgetExceededError) as exc:
-            gr.greedy_independence_number(petersen(), budget=4)
-        assert exc.value.what == "best greedy value"
-        assert exc.value.budget == 4
-        assert exc.value.__context__.what == "independence number"  # the probe's
+            solver.solve(full)
+        assert (exc.value.what, exc.value.budget) == ("best greedy value", 4)
+        assert solver.stored == 4
+        assert (len(solver.cache) - 1, len(solver.mis.cache) - 1) == (3, 1)
+        assert full not in solver.mis.cache
+        assert solver.mis.owner is None  # handed back, even on the error
+
+    def test_finished_solvers_are_freed_at_once(self):
+        # no reference cycle between a greedy search and its alpha memo, so
+        # a finished solve's memos go without waiting for the cycle collector
+        g = red.build_reduction(Graph.path(3), Graph.complete(2)).graph
+        gc.disable()
+        try:
+            solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+            solver.solve((1 << g.n) - 1)
+            assert solver.stored > len(solver.cache) - 1  # probes ran
+            refs = weakref.ref(solver), weakref.ref(solver.mis)
+            del solver
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    # The paired solve of achieves_ratio and misses_ratio stores alpha's
+    # states against the budget first, then hands alpha's memo to the greedy
+    # search, whose own and probe states count against a budget of its own.
+    # Petersen: alpha 5, then greedy 4 (the memo holds the whole graph, so
+    # nothing is probed), so no budget runs out in greedy first.  The
+    # artifact: alpha 20, then greedy 115 + 2 probe states.
+    @pytest.mark.parametrize(
+        "g, alpha_states, greedy_states",
+        [
+            (petersen(), 5, 4),
+            (red.build_reduction(Graph.path(3), Graph.complete(2)).graph, 20, 117),
+        ],
+        ids=["Petersen", "artifact(P3,K2)"],
+    )
+    def test_paired_budget_edges(self, g, alpha_states, greedy_states):
+        for solve in (
+            gr._alpha_and_greedy,
+            lambda g, budget: gr.achieves_ratio(g, 1, budget),
+            lambda g, budget: gr.misses_ratio(g, 1, budget),
+        ):
+            solve(g, max(alpha_states, greedy_states))
+            edges = [(alpha_states - 1, "independence number")]
+            if greedy_states > alpha_states:
+                edges.append((greedy_states - 1, "best greedy value"))
+            for budget, what in edges:
+                with pytest.raises(BudgetExceededError) as exc:
+                    solve(g, budget)
+                assert (exc.value.what, exc.value.budget) == (what, budget)
+        # the greedy count alone, after alpha filled the memo within its own
+        full = (1 << g.n) - 1
+
+        def handoff(budget):
+            mis = gr._MisSolver(g, alpha_states)
+            mis.solve(full)
+            return gr._GreedySolver(g, budget, mis).solve(full)
+
+        handoff(greedy_states)
+        with pytest.raises(BudgetExceededError) as exc:
+            handoff(greedy_states - 1)
+        assert (exc.value.what, exc.value.budget) == ("best greedy value", greedy_states - 1)
 
     def test_long_path_needs_no_recursion(self):
         """The solvers run at the interpreter's default recursion limit and

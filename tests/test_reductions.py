@@ -206,6 +206,15 @@ class TestVerifyReduction:
             assert (info.value.what, info.value.budget) == (step, budget)
         assert red.verify_reduction(Graph(1), Graph(1), budget=13).passed
 
+    def test_budget_overrun_inside_a_probe_names_mdg(self):
+        # For (K2, Graph(1)) every step before it fits 5 states.  G' (the
+        # 32-vertex double subdivision of the padded K2) needs 3 alpha states,
+        # then greedy stores 5 states of its own and probes a triangle-free
+        # residual that alpha's memo lacks; the probe's first state overflows
+        with pytest.raises(BudgetExceededError) as info:
+            red.verify_reduction(Graph.complete(2), Graph(1), budget=5)
+        assert (info.value.what, info.value.budget) == ("mdg(G')", 5)
+
     def test_report_carries_the_built_artifact(self):
         for g, h in ((Graph(1), Graph.empty(2)), (Graph.path(3), Graph.complete(2))):
             assert red.verify_reduction(g, h).artifact == red.build_reduction(g, h)
