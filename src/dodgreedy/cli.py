@@ -89,6 +89,16 @@ def _cmd_graph_sr(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """The --budget value: a state count, an integer of 0 or more."""
+    try:
+        if (budget := int(text)) >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
+
+
 def _emit_artifact(artifact: reductions.ReductionArtifact, path: str) -> None:
     Path(path).write_text(formats.format_graph(artifact.graph), encoding="utf-8")
     Path(path + ".parts").write_text(formats.format_partmap(artifact), encoding="utf-8")
@@ -148,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     election = {"--election": {"required": True, "metavar": "PATH"}}
     graph = {"--graph": {"required": True, "metavar": "PATH"}}
     two_graphs = {**graph, "--graph2": {"required": True, "metavar": "PATH"}}
-    budget = {"--budget": {"type": int, "default": DEFAULT_BUDGET, "metavar": "STATES"}}
+    budget = {"--budget": {"type": _budget, "default": DEFAULT_BUDGET, "metavar": "STATES"}}
     emit = {"--emit-artifact": {"metavar": "PATH"}}
 
     add("election-score", _cmd_election_score, **election, **budget,

@@ -17,10 +17,10 @@ from .graphs import Graph
 from .reductions import PART_LABELS, ReductionArtifact
 
 
-def _content_lines(text: str, comment: str) -> list[tuple[int, str]]:
+def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(comment, 1)[0].strip() if comment in raw else raw.strip()
+        line = raw.split("#", 1)[0].strip() if "#" in raw else raw.strip()
         if line:
             out.append((lineno, line))
     return out
@@ -29,7 +29,7 @@ def _content_lines(text: str, comment: str) -> list[tuple[int, str]]:
 def parse_election(text: str) -> Election:
     """Parse the election format: a candidate-name line, then one ranking
     per voter (most preferred first). `#` starts a comment."""
-    lines = _content_lines(text, "#")
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("line 1: missing candidate line")
     first_no, header = lines[0]
@@ -144,7 +144,7 @@ def format_partmap(artifact: ReductionArtifact) -> str:
 def parse_partmap(text: str) -> tuple[dict[str, range], frozenset[frozenset[str]]]:
     parts: dict[str, range] = {}
     joins: set[frozenset[str]] = set()
-    for lineno, line in _content_lines(text, "#"):
+    for lineno, line in _content_lines(text):
         fields = line.split()
         if fields[0] == "part" and len(fields) == 3 and ".." in fields[2]:
             lo_text, _, hi_text = fields[2].partition("..")
@@ -176,7 +176,7 @@ def format_batch(batch: QueryBatch) -> str:
 
 def parse_batch(text: str) -> QueryBatch:
     queries = []
-    for lineno, line in _content_lines(text, "#"):
+    for lineno, line in _content_lines(text):
         fields = line.split(maxsplit=2)
         if len(fields) != 3 or fields[0] != "q":
             raise ParseError(f"line {lineno}: expected `q <kind> <payload>`")
@@ -204,7 +204,7 @@ def format_answers(av: AnswerVector) -> str:
 def parse_answers(text: str) -> AnswerVector:
     answers: list[bool | None] = []
     errors: list[str | None] = []
-    for lineno, line in _content_lines(text, "#"):
+    for lineno, line in _content_lines(text):
         fields = line.split(maxsplit=2)
         if len(fields) < 2 or fields[0] != "a":
             raise ParseError(f"line {lineno}: expected `a <0|1>`")

@@ -79,6 +79,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the rows; the stored hash stays behind
+        return (Graph._from_rows, (self._adj,))
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

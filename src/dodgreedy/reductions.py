@@ -32,27 +32,40 @@ JOIN_PAIRS = frozenset(
 )
 
 
+def _layout(n: int) -> tuple[tuple[str, range], ...]:
+    """(label, vertex span) of each part: G1, G2, H1, H2 on n vertices each,
+    then independent sets I1, I2 on ell = 2n + 2 vertices each."""
+    ell = 2 * n + 2
+    starts = (0, n, 2 * n, 3 * n, 4 * n, 4 * n + ell, 4 * n + 2 * ell)
+    return tuple(zip(PART_LABELS, map(range, starts, starts[1:])))
+
+
 @dataclass(frozen=True)
 class ReductionArtifact:
-    """The wired six-part graph plus the bookkeeping needed to audit it."""
+    """The wired six-part graph plus the bookkeeping needed to audit it.
+    Its layout (`ell`, `parts`, `joins`) is a fixed function of `n`."""
 
     graph: Graph
-    ell: int
     k: int
     n: int
-    parts: tuple[tuple[str, range], ...]
-    joins: frozenset[frozenset[str]]
     provenance: tuple[str, ...]
     # the pipeline's intermediate graphs, both sides after pad_edges, after
     # double_subdivision and after pad_vertices, so that verify_reduction
     # measures the very graphs the artifact was built from
-    stages: tuple[Graph, ...] = field(default=(), compare=False, repr=False)
+    stages: tuple[Graph, ...] = field(compare=False, repr=False)
+
+    joins = JOIN_PAIRS  # unannotated, so a class constant and not a field
+
+    @property
+    def ell(self) -> int:
+        return len(self.part("I1"))
+
+    @property
+    def parts(self) -> tuple[tuple[str, range], ...]:
+        return _layout(self.n)
 
     def part(self, label: str) -> range:
-        for name, span in self.parts:
-            if name == label:
-                return span
-        raise KeyError(label)
+        return dict(self.parts)[label]
 
 
 def _append_clique(g: Graph, size: int) -> Graph:
@@ -136,25 +149,16 @@ def build_reduction(g: Graph, h: Graph) -> ReductionArtifact:
     gp = double_subdivision(g2)
     hp = double_subdivision(h2)
     gpp, hpp, n = pad_vertices(gp, hp)
-    ell = 2 * n + 2
-
-    offsets = {
-        "G1": 0,
-        "G2": n,
-        "H1": 2 * n,
-        "H2": 3 * n,
-        "I1": 4 * n,
-        "I2": 4 * n + ell,
-    }
-    sizes = {"G1": n, "G2": n, "H1": n, "H2": n, "I1": ell, "I2": ell}
-    sources = {"G1": gpp, "G2": gpp, "H1": hpp, "H2": hpp, "I1": Graph(ell), "I2": Graph(ell)}
-    masks = {label: ((1 << sizes[label]) - 1) << offsets[label] for label in PART_LABELS}
+    parts = dict(_layout(n))
+    sources = {"G1": gpp, "G2": gpp, "H1": hpp, "H2": hpp}
+    masks = {label: ((1 << len(span)) - 1) << span.start for label, span in parts.items()}
     rows = []
-    for label in PART_LABELS:
-        # the part's own edges, shifted into place, plus an edge to every
-        # vertex of each part joined to it
+    for label, span in parts.items():
+        # the part's own edges (I1 and I2 have none), shifted into place,
+        # plus an edge to every vertex of each part joined to it
         join = sum(masks[q] for q in PART_LABELS if frozenset((label, q)) in JOIN_PAIRS)
-        rows += [row << offsets[label] | join for row in sources[label]._adj]
+        own = sources[label]._adj if label in sources else (0,) * len(span)
+        rows += [row << span.start | join for row in own]
     ghat = Graph._from_rows(rows)
 
     provenance = (
@@ -164,61 +168,40 @@ def build_reduction(g: Graph, h: Graph) -> ReductionArtifact:
         f"subdivide h: {k} edges -> {2 * k} new vertices",
         f"vertex-pad g += K{gpp.n - gp.n}",
         f"vertex-pad h += K{hpp.n - hp.n}",
-        f"join parts with ell = {ell}",
-    )
-    parts = tuple(
-        (label, range(offsets[label], offsets[label] + sizes[label]))
-        for label in PART_LABELS
+        f"join parts with ell = {len(parts['I1'])}",
     )
     stages = (g2, h2, gp, hp, gpp, hpp)
-    return ReductionArtifact(ghat, ell, k, n, parts, JOIN_PAIRS, provenance, stages)
+    return ReductionArtifact(ghat, k, n, provenance, stages)
 
 
 def check_artifact_structure(artifact: ReductionArtifact) -> bool:
-    """Recheck the artifact's structural invariants from the graph alone."""
+    """Recheck the artifact's wiring from the graph alone: the cross edges
+    JOIN_PAIRS asks for and no others, I1 and I2 independent, G1 and G2 each
+    inducing G'' (stages[4]) and H1 and H2 each inducing H'' (stages[5])."""
     graph = artifact.graph
     spans = dict(artifact.parts)
-    if sorted(spans) != sorted(PART_LABELS):
-        return False
-    covered = []
-    for label in PART_LABELS:
-        covered.extend(spans[label])
-    if sorted(covered) != list(range(graph.n)):
-        return False
-    n, ell = artifact.n, artifact.ell
-    if ell != 2 * n + 2:
-        return False
-    if any(len(spans[label]) != n for label in ("G1", "G2", "H1", "H2")):
-        return False
-    if len(spans["I1"]) != ell or len(spans["I2"]) != ell:
+    if graph.n != sum(len(span) for span in spans.values()):
         return False
 
-    masks = {
-        label: sum(1 << v for v in span) for label, span in spans.items()
-    }
+    masks = {label: ((1 << len(span)) - 1) << span.start for label, span in spans.items()}
     adj = graph._adj
     for i, p in enumerate(PART_LABELS):
         for q in PART_LABELS[i + 1 :]:
-            joined = frozenset((p, q)) in artifact.joins
-            for u in spans[p]:
-                cross = adj[u] & masks[q]
-                if joined and cross != masks[q]:
-                    return False
-                if not joined and cross != 0:
-                    return False
+            cross = masks[q] if frozenset((p, q)) in artifact.joins else 0
+            if any(adj[u] & masks[q] != cross for u in spans[p]):
+                return False
 
-    def internal_rows(label: str) -> list[int]:
+    def internal_rows(label: str) -> tuple[int, ...]:
         # each vertex's neighbours inside its own part, relabeled from 0
         base = spans[label].start
-        return [(adj[u] & masks[label]) >> base for u in spans[label]]
+        return tuple((adj[u] & masks[label]) >> base for u in spans[label])
 
-    if any(internal_rows("I1")) or any(internal_rows("I2")):
-        return False
-    if internal_rows("G1") != internal_rows("G2"):
-        return False
-    if internal_rows("H1") != internal_rows("H2"):
-        return False
-    return True
+    gpp, hpp = artifact.stages[4:]
+    return (
+        not any(internal_rows("I1") + internal_rows("I2"))
+        and internal_rows("G1") == internal_rows("G2") == gpp._adj
+        and internal_rows("H1") == internal_rows("H2") == hpp._adj
+    )
 
 
 def same_independence_number(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> bool:
@@ -236,9 +219,6 @@ class ReductionReport:
     alpha_h_final: int
     alpha_artifact: int
     greedy_artifact: int
-    k: int
-    n: int
-    ell: int
     checks: tuple[tuple[str, bool], ...]
     artifact: ReductionArtifact = field(repr=False)  # what the figures above measure
 
@@ -252,9 +232,9 @@ class ReductionReport:
             f"alpha(H) = {self.alpha_h}",
             f"alpha(G'') = {self.alpha_g_final}",
             f"alpha(H'') = {self.alpha_h_final}",
-            f"k = {self.k}",
-            f"n = {self.n}",
-            f"ell = {self.ell}",
+            f"k = {self.artifact.k}",
+            f"n = {self.artifact.n}",
+            f"ell = {self.artifact.ell}",
             f"alpha(Ghat) = {self.alpha_artifact}",
             f"mdg(Ghat) = {self.greedy_artifact}",
         ]
@@ -331,9 +311,6 @@ def verify_reduction(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> Reduct
         alpha_h_final=alpha_hpp,
         alpha_artifact=alpha_ghat,
         greedy_artifact=greedy_ghat,
-        k=k,
-        n=n,
-        ell=artifact.ell,
         checks=checks,
         artifact=artifact,
     )

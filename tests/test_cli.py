@@ -221,6 +221,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main([])
 
+    def test_negative_budget_is_a_usage_error(self, capsys, tmp_path):
+        path = graph_file(tmp_path, "c5", Graph.cycle(5))
+        for budget in ("-5", "five"):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["graph-alpha", "--graph", path, "--budget", budget])
+            assert info.value.code == 2
+            assert "--budget" in capsys.readouterr().err
+        code, _, err = run(capsys, "graph-alpha", "--graph", path, "--budget", "0")
+        assert code == 1 and "budget of 0 exceeded" in err
+
     def test_parser_reuse_across_calls(self, capsys, tmp_path, election_file):
         # the parser is built once per process; a failed parse in between
         # must not leak into the next call's arguments

@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import sys
 import weakref
 from fractions import Fraction
@@ -138,6 +140,14 @@ class TestGraphType:
         g = Graph(2)
         with pytest.raises(AttributeError):
             g.n = 5
+
+    def test_pickle_and_copy(self):
+        g = Graph.cycle(5)
+        hash(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert copy.copy(g) == g and copy.deepcopy(g) == g
+        assert copy.deepcopy(Graph(0)) == Graph(0)
 
 
 class TestIndependenceNumber:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -126,8 +127,7 @@ class TestBuildReduction:
         def tampered(art, drop=(), add=()):
             edges = (art.graph.edges - set(drop)) | set(add)
             return red.ReductionArtifact(
-                Graph(art.graph.n, edges),
-                art.ell, art.k, art.n, art.parts, art.joins, art.provenance,
+                Graph(art.graph.n, edges), art.k, art.n, art.provenance, art.stages,
             )
 
         def inside(art, label):
@@ -144,12 +144,26 @@ class TestBuildReduction:
         missing_h1 = next(
             (u, v) for u in h1 for v in h1 if u < v and not art.graph.has_edge(u, v)
         )
+        g1, g2 = art.part("G1"), art.part("G2")
+        u, v = next((u, v) for u in g1 for v in g1 if u < v and not art.graph.has_edge(u, v))
         for edit in (
             {"drop": inside(art, "G2")[:1]},
             {"add": [missing_h1]},
             {"add": [(i1[0], i1[1])]},
+            # G1 and G2 still match each other, but neither is G'' any more
+            {"add": [(u, v), (u + len(g1), v + len(g1))]},
+            # a cross edge between parts that are not joined
+            {"add": [(g1[0], h1[0])]},
         ):
             assert not red.check_artifact_structure(tampered(art, **edit)), edit
+
+    def test_structure_check_catches_wrong_vertex_count(self):
+        art = red.build_reduction(Graph(1), Graph(1))
+        for n in (art.graph.n - 1, art.graph.n + 1):
+            short = red.ReductionArtifact(
+                Graph(n), art.k, art.n, art.provenance, art.stages,
+            )
+            assert not red.check_artifact_structure(short), n
 
     def test_stages_are_the_pipeline_graphs(self):
         g, h = Graph.path(3), Graph.complete(2)
@@ -192,6 +206,13 @@ class TestVerifyReduction:
         assert report.alpha_artifact == 14
         assert report.greedy_artifact == 13
         assert dict(report.checks)["equality-iff"]
+
+    def test_report_survives_pickling(self):
+        report = red.verify_reduction(Graph.path(3), Graph.complete(2))
+        back = pickle.loads(pickle.dumps(report))
+        assert back.lines() == report.lines()
+        assert back.artifact == report.artifact
+        assert back.artifact.stages == report.artifact.stages
 
     def test_budget_overrun_names_step(self):
         with pytest.raises(BudgetExceededError) as info:
