@@ -10,9 +10,10 @@ run.py's own default length, the same on both sides.  The file named by
 --out gains one entry per workload (an existing entry for the workload is
 replaced): every run's metrics, answer counts and measured wall time, and
 per metric the median and quartiles of each side and the number of pairs
-the change won.  The file is rewritten after every pair, so a run that
-crashes loses only its own pair; the entry's `seeds` lists the pairs that
-finished.  A run that answered anything wrong or failed a request is still
+the change won.  A metric whose parent runs spread too widely to tell a
+change of the metric's bound is marked `resolved: false`.  The file is
+rewritten after every pair, so a run that crashes loses only its own pair;
+the entry's `seeds` lists the pairs that finished.  A run that answered anything wrong or failed a request is still
 written, then named on stderr, and the script exits 1.
 """
 
@@ -63,9 +64,16 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     }
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the change won.
+
+    `resolved: false` marks a metric whose parent quartile spread,
+    (q3 - q1) / median, is wider than its bound while not every change run
+    beats every parent run: a difference the size of the bound could hide
+    in such a spread.
+    """
     out = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         sides = {}
         for side in ("parent", "change"):
             values = sorted(p[side]["metrics"][name] for p in pairs)
@@ -83,6 +91,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                 100 * (sides["change"]["median"] / sides["parent"]["median"] - 1), 1
             ),
         }
+        parent = sides["parent"]
+        spread = (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else 0.0
+        worst_change = min(sign * p["change"]["metrics"][name] for p in pairs)
+        best_parent = max(sign * p["parent"]["metrics"][name] for p in pairs)
+        if spread > bound and not worst_change > best_parent:
+            out[name]["resolved"] = False
     return out
 
 
@@ -99,7 +113,7 @@ def main() -> None:
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}
     doc.setdefault("host", host())
@@ -115,7 +129,7 @@ def main() -> None:
         pairs.append(pair)
         doc.setdefault("workloads", {})[args.workload] = {
             "seeds": [p["seed"] for p in pairs],
-            "summary": summarize(pairs, better),
+            "summary": summarize(pairs, metrics),
             "pairs": pairs,
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

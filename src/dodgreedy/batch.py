@@ -79,13 +79,8 @@ def greedy_query(g: Graph, s: int) -> Query:
 
 
 def _election_from_payload(payload: dict) -> Election:
-    names = payload["candidates"]
-    rankings = payload["rankings"]
-    candidates = tuple(elections.Candidate(i, str(name)) for i, name in enumerate(names))
-    voters = tuple(
-        elections.PreferenceOrder(tuple(int(c) for c in ranking)) for ranking in rankings
-    )
-    return Election(candidates, voters)
+    names, rankings = payload["candidates"], payload["rankings"]
+    return Election._from_ids(map(str, names), ([int(c) for c in r] for r in rankings))
 
 
 def _graph_from_payload(payload: dict) -> Graph:
@@ -97,11 +92,7 @@ def _graph_from_payload(payload: dict) -> Graph:
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError)
 
 
-def _score(e: Election, c: int, budget: int) -> int:
-    return elections.carroll_score(e, c, budget).score
-
-
-def _plan(query: Query, decode) -> tuple[tuple | None, Callable[[int | None], bool]]:
+def _plan(query: Query, decode) -> tuple[tuple | None, Callable[[object], bool]]:
     """The solve a query needs, as (solver, *instance) or None, and its test.
 
     The test turns the solved value into the query's answer.
@@ -113,10 +104,11 @@ def _plan(query: Query, decode) -> tuple[tuple | None, Callable[[int | None], bo
         if not 0 <= candidate < e.num_candidates:
             raise ValueError(f"candidate {candidate} out of range")
         k = int(p["k"])
-        return (_score, e, candidate), lambda score: score <= k
+        return (elections.carroll_score, e, candidate), lambda cert: cert.score <= k
     g = decode(p["graph"], _graph_from_payload)
     if query.kind == "alpha_geq":
-        return (graphs.independence_number, g), lambda alpha: alpha >= int(p["k"])
+        k = int(p["k"])
+        return (graphs.independence_number, g), lambda alpha: alpha >= k
     s = int(p["s"])
     if s <= 0 or s > g.n:  # no greedy run collects more than n picks
         return None, lambda _: s <= 0
@@ -141,7 +133,7 @@ def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVec
             decoded[key] = (obj, build(obj))
         return decoded[key][1]
 
-    values: dict[tuple | None, int | None] = {None: None}
+    values: dict[tuple | None, object] = {None: None}
     answers: list[bool | None] = []
     errors: list[str | None] = []
     for query in batch.queries:
@@ -225,29 +217,20 @@ def carroll_winner_pipeline(e: Election, candidate: int) -> bool:
 def ratio_pipeline(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     """Decide whether greedy achieves ratio r via one batch of queries.
 
-    Asks alpha >= k and greedy >= s for all thresholds, then applies the
-    complement test: the graph fails the ratio exactly when some k has
-    alpha >= k while the greedy value falls below k divided by r (the
-    greedy-side questions enter complemented).  Agrees with
-    graphs.achieves_ratio by construction.
+    Asks alpha >= k and greedy >= k for k = 1..n, reads both exact values
+    off the answer rows (each reads true, then false), and applies
+    achieves_ratio's integer test to them.  misses_ratio keeps the
+    complement form of the same test.
     """
     r = graphs._check_ratio(r)
     n = g.n
     payload = graph_payload(g)  # one shared payload: decoded once, solved once per solver
-    alpha_queries = [Query("alpha_geq", {"graph": payload, "k": k}) for k in range(1, n + 1)]
-    greedy_queries = [Query("mdg_geq", {"graph": payload, "s": s}) for s in range(1, n + 1)]
-    av = evaluate_batch(QueryBatch(tuple(alpha_queries + greedy_queries)), budget)
-    answers = _strict_answers(av, "ratio_pipeline")
-    alpha_row = answers[:n]
-    greedy_row = answers[n:]
-    for name, row in (("alpha", alpha_row), ("greedy", greedy_row)):
-        # "value >= k" rows read true, then false
-        _monotone_switch([not a for a in row], f"{name} row", 1)
-
-    def greedy_below(k: int) -> bool:
-        # greedy * numerator < k * denominator, via one complemented answer
-        s = -(-k * r.denominator // r.numerator)
-        return not greedy_row[s - 1]
-
-    fails = any(alpha_row[k - 1] and greedy_below(k) for k in range(1, n + 1))
-    return not fails
+    queries = [Query("alpha_geq", {"graph": payload, "k": k}) for k in range(1, n + 1)]
+    queries += [Query("mdg_geq", {"graph": payload, "s": s}) for s in range(1, n + 1)]
+    answers = _strict_answers(evaluate_batch(QueryBatch(tuple(queries)), budget), "ratio_pipeline")
+    # a "value >= k" row turns false at index value, so its complement turns true there
+    alpha, greedy = (
+        _monotone_switch([not a for a in answers[i : i + n]], f"{name} row", 1)
+        for i, name in ((0, "alpha"), (n, "greedy"))
+    )
+    return alpha * r.denominator <= greedy * r.numerator

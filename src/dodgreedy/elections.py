@@ -61,15 +61,20 @@ class Election:
         cls, names: Sequence[str], rankings: Iterable[Sequence[str]]
     ) -> Election:
         """Build an election from candidate names and per-voter name rankings."""
-        candidates = tuple(Candidate(i, name) for i, name in enumerate(names))
         index = {name: i for i, name in enumerate(names)}
-        voters = []
-        for ranking in rankings:
-            try:
-                voters.append(PreferenceOrder(tuple(index[name] for name in ranking)))
-            except KeyError as exc:
-                raise ValueError(f"unknown candidate name {exc.args[0]!r}") from None
-        return cls(candidates, tuple(voters))
+        try:
+            ids = [[index[name] for name in ranking] for ranking in rankings]
+        except KeyError as exc:
+            raise ValueError(f"unknown candidate name {exc.args[0]!r}") from None
+        return cls._from_ids(names, ids)
+
+    @classmethod
+    def _from_ids(cls, names: Iterable[str], rankings: Iterable[Iterable[int]]) -> Election:
+        """An election on these candidate names, ids 0..m-1, with these id rankings."""
+        # from a list, not a generator: tuple() resizes a generator's result,
+        # so freed voter tuples would pile up on CPython's tuple free lists
+        voters = [PreferenceOrder(tuple(ranking)) for ranking in rankings]
+        return cls(tuple(Candidate(i, name) for i, name in enumerate(names)), tuple(voters))
 
     @property
     def num_candidates(self) -> int:
@@ -169,9 +174,16 @@ def _with_rankings(e: Election, rankings: dict[int, list[int]]) -> Election:
     return Election(e.candidates, tuple(voters))
 
 
+def _ranking(e: Election, voter: int) -> list[int]:
+    """A copy of one voter's ranking; negative indices are not voters."""
+    if not 0 <= voter < e.num_voters:
+        raise ValueError(f"voter {voter} out of range for {e.num_voters} voters")
+    return list(e.voters[voter].ranking)
+
+
 def apply_swap(e: Election, voter: int, position: int) -> Election:
     """Exchange the adjacent entries at position and position+1 of one ranking."""
-    ranking = list(e.voters[voter].ranking)
+    ranking = _ranking(e, voter)
     _swap(ranking, position)
     return _with_rankings(e, {voter: ranking})
 
@@ -180,7 +192,7 @@ def apply_raise(e: Election, candidate: int, voter: int, steps: int) -> Election
     """Move a candidate up `steps` adjacent positions in one voter's ranking."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    ranking = list(e.voters[voter].ranking)
+    ranking = _ranking(e, voter)
     pos = ranking.index(candidate)
     if steps > pos:
         raise ValueError(
@@ -195,7 +207,7 @@ def replay_witness(e: Election, cert: ScoreCertificate) -> Election:
     rankings: dict[int, list[int]] = {}
     for voter, position in cert.witness:
         if voter not in rankings:
-            rankings[voter] = list(e.voters[voter].ranking)
+            rankings[voter] = _ranking(e, voter)
         _swap(rankings[voter], position)
     return _with_rankings(e, rankings)
 

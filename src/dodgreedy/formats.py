@@ -141,22 +141,31 @@ def format_partmap(artifact: ReductionArtifact) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _part_label(label: str, lineno: int) -> str:
+    if label not in PART_LABELS:
+        raise ParseError(f"line {lineno}: unknown part {label}")
+    return label
+
+
 def parse_partmap(text: str) -> tuple[dict[str, range], frozenset[frozenset[str]]]:
     parts: dict[str, range] = {}
     joins: set[frozenset[str]] = set()
     for lineno, line in _content_lines(text):
         fields = line.split()
         if fields[0] == "part" and len(fields) == 3 and ".." in fields[2]:
+            label = _part_label(fields[1], lineno)
             lo_text, _, hi_text = fields[2].partition("..")
             try:
                 lo, hi = int(lo_text), int(hi_text)
             except ValueError:
-                raise ParseError(f"line {lineno}: bad range {fields[2]!r}") from None
-            if fields[1] in parts:
-                raise ParseError(f"line {lineno}: repeated part {fields[1]}")
-            parts[fields[1]] = range(lo - 1, hi)
+                lo = hi = 0  # not numbers: reported as a bad range below
+            if not 1 <= lo <= hi:
+                raise ParseError(f"line {lineno}: bad range {fields[2]!r}")
+            if label in parts:
+                raise ParseError(f"line {lineno}: repeated part {label}")
+            parts[label] = range(lo - 1, hi)
         elif fields[0] == "join" and len(fields) == 3:
-            joins.add(frozenset(fields[1:]))
+            joins.add(frozenset(_part_label(label, lineno) for label in fields[1:]))
         else:
             raise ParseError(f"line {lineno}: unknown part-map line")
     missing = [label for label in PART_LABELS if label not in parts]

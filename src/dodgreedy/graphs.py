@@ -550,7 +550,7 @@ def replay_trace(g: Graph, trace: GreedyTrace) -> frozenset[int]:
     adj = g._adj
     mask = (1 << g.n) - 1
     for step, v in enumerate(trace.picks):
-        if not mask >> v & 1:
+        if v < 0 or not mask >> v & 1:
             raise ValueError(f"step {step}: vertex {v} not in residual graph")
         ties = _min_degree_vertices(adj, mask)
         if v not in ties:

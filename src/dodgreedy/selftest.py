@@ -100,11 +100,7 @@ def all_profiles(m: int, n: int):
 
 
 def election_from_profile(profile) -> Election:
-    names = tuple(f"c{i}" for i in range(len(profile[0])))
-    return Election(
-        tuple(elections.Candidate(i, name) for i, name in enumerate(names)),
-        tuple(elections.PreferenceOrder(tuple(r)) for r in profile),
-    )
+    return Election._from_ids((f"c{i}" for i in range(len(profile[0]))), profile)
 
 
 def check_golden_vectors() -> CheckResult:

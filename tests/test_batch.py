@@ -76,6 +76,20 @@ class TestQueries:
         av = qb.evaluate_batch(qb.QueryBatch((hacked,)))
         assert av.answers == (None,)
 
+    def test_bad_threshold_is_reported_before_the_solve(self, four_voter):
+        # at budget 0 every solve runs out, so a threshold read after its
+        # solve would abort the whole batch instead of failing one query
+        graph = qb.graph_payload(Graph.cycle(7))
+        election = qb.election_payload(four_voter)
+        queries = (
+            qb.Query("alpha_geq", {"graph": graph, "k": "x"}),
+            qb.Query("mdg_geq", {"graph": graph, "s": "x"}),
+            qb.Query("score_at_most", {"election": election, "candidate": 0, "k": "x"}),
+        )
+        av = qb.evaluate_batch(qb.QueryBatch(queries), budget=0)
+        assert av.answers == (None, None, None)
+        assert av.errors == ("ValueError: invalid literal for int() with base 10: 'x'",) * 3
+
 
 class TestScoresFromAnswers:
     def test_immediate_true_scores_zero(self):
@@ -175,6 +189,23 @@ class TestRatioPipeline:
 
         with pytest.raises(ValueError):
             qb.ratio_pipeline(Graph(1), Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "answers, errors, message",
+        [
+            ((True, False, True, True, True, False), (None,) * 6,
+             "alpha row is not monotone at threshold 2"),
+            ((True, True, False, True, False, True), (None,) * 6,
+             "greedy row is not monotone at threshold 2"),
+            ((True, None, False, True, True, False), (None, "forged", None, None, None, None),
+             "ratio_pipeline: internally built query failed: forged"),
+        ],
+    )
+    def test_forged_answers_are_integrity_errors(self, monkeypatch, answers, errors, message):
+        forged = qb.AnswerVector(answers, errors)
+        monkeypatch.setattr(qb, "evaluate_batch", lambda batch, budget: forged)
+        with pytest.raises(IntegrityError, match=message):
+            qb.ratio_pipeline(Graph.path(3), 1)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())

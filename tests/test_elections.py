@@ -147,12 +147,26 @@ class TestApplyRaise:
         by_swaps = el.apply_swap(el.apply_swap(four_voter, 3, 1), 3, 0)
         assert el.apply_raise(four_voter, c, 3, 2) == by_swaps
 
+    def test_voter_out_of_range_rejected(self, four_voter):
+        c = four_voter.id_of("C")
+        for voter in (-1, -4, 4):
+            with pytest.raises(ValueError, match=f"voter {voter} out of range"):
+                el.apply_raise(four_voter, c, voter, 0)
+            with pytest.raises(ValueError, match=f"voter {voter} out of range"):
+                el.apply_swap(four_voter, voter, 0)
+
 
 class TestReplayWitness:
     def test_bad_position_rejected(self, four_voter):
         for position in (-1, 2):
             cert = el.ScoreCertificate(0, 1, ((0, position),))
             with pytest.raises(ValueError, match="adjacent pair"):
+                el.replay_witness(four_voter, cert)
+
+    def test_voter_out_of_range_rejected(self, four_voter):
+        for voter in (-1, 4):
+            cert = el.ScoreCertificate(2, 1, ((voter, 0),))
+            with pytest.raises(ValueError, match=f"voter {voter} out of range"):
                 el.replay_witness(four_voter, cert)
 
     def test_repeated_voter_steps_compose(self, four_voter):

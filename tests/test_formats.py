@@ -242,6 +242,22 @@ class TestPartmapFormat:
         with pytest.raises(ParseError, match="line 1"):
             fmt.parse_partmap("part G1 1..x\n")
 
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("part G1 5..1", "bad range '5..1'"),
+            ("part G1 0..1", "bad range '0..1'"),
+            ("part G1 -1..1", "bad range '-1..1'"),
+            ("part X 1..1", "unknown part X"),
+            ("join G1 Q", "unknown part Q"),
+        ],
+    )
+    def test_bad_range_or_label_rejected(self, line, error):
+        lines = fmt.format_partmap(red.build_reduction(Graph(1), Graph.empty(2))).splitlines()
+        lines[0] = line  # in place of "part G1 1..3"
+        with pytest.raises(ParseError, match=f"line 1: {error}"):
+            fmt.parse_partmap("\n".join(lines))
+
 
 class TestBatchFormat:
     def test_round_trip(self, four_voter, greedy_gap_graph):

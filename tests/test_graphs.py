@@ -284,6 +284,11 @@ class TestGreedyRun:
         with pytest.raises(ValueError):
             gr.replay_trace(g, GreedyTrace((1, 1, 2, 3)))
 
+    def test_replay_rejects_vertices_outside_the_graph(self):
+        for v in (-1, 4):
+            with pytest.raises(ValueError, match=f"step 0: vertex {v} not in residual graph"):
+                gr.replay_trace(Graph.star(3), GreedyTrace((v,)))
+
 
 class TestGreedyIndependenceNumber:
     def test_small_trees_are_greedy_optimal(self):
