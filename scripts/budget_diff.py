@@ -1,0 +1,147 @@
+"""Check that two source trees give the same answers and budget errors.
+
+    python3 scripts/budget_diff.py --parent DIR --change DIR
+
+Each tree is run in a process of its own that imports only that tree's
+`src`.  Both processes build the same seeded corpus:
+
+- 300 G(n, p) graphs on 0-13 vertices;
+- 120 double subdivisions of random 1-6-vertex bases;
+- 40 reduction artifacts of random 1-3-vertex pairs.
+
+On every corpus graph, `independence_number`, `greedy_independence_number`,
+`_alpha_and_greedy`, `achieves_ratio` at r = 1 and `misses_ratio` at
+r = 3/2 are run at every budget from -1 up to the first one that fits, and
+each value or `(what, budget)` error is recorded.  At the default budget
+the script also records `best_greedy_trace` and `max_independent_set` on
+every corpus graph, and `verify_reduction(g, h).lines()` on 20 random
+pairs of 1-4-vertex graphs.
+
+Exits 0 and prints the number of budget points when the two record lists
+are equal; otherwise exits 1 and names the first difference.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+SEED = 20260101
+# a sweep that still fails here has gone wrong; record it rather than loop on
+MAX_BUDGET = 200_000
+
+
+def _random_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def _corpus(Graph, reductions) -> list[tuple[str, object]]:
+    rng = random.Random(SEED)
+    corpus = []
+    for i in range(300):
+        n = rng.randint(0, 13)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7))
+        corpus.append((f"gnp{i}", Graph(n, _random_edges(rng, n, p))))
+    for i in range(120):
+        n = rng.randint(1, 6)
+        base = Graph(n, _random_edges(rng, n, rng.choice((0.3, 0.5, 0.8))))
+        corpus.append((f"subdiv{i}", reductions.double_subdivision(base)))
+    for i in range(40):
+        g, h = (Graph(n, _random_edges(rng, n, 0.5)) for n in (rng.randint(1, 3), rng.randint(1, 3)))
+        corpus.append((f"artifact{i}", reductions.build_reduction(g, h).graph))
+    return corpus
+
+
+def _outcome(call, BudgetExceededError):
+    try:
+        value = call()
+    except BudgetExceededError as exc:
+        return False, ["budget", exc.what, exc.budget]
+    except Exception as exc:  # any other error is part of the answer too
+        return True, ["error", type(exc).__name__, str(exc)]
+    return True, ["value", value if isinstance(value, (bool, int)) else list(value)]
+
+
+def collect(tree: Path) -> dict:
+    """The records of one tree, computed with that tree's own modules."""
+    sys.path.insert(0, str(tree / "src"))
+    from dodgreedy import graphs, reductions
+    from dodgreedy.errors import BudgetExceededError
+
+    if not Path(graphs.__file__).resolve().is_relative_to(tree):
+        sys.exit(f"imported {graphs.__file__}, not the tree's own module")
+    Graph = graphs.Graph
+    sweeps = (
+        ("alpha", graphs.independence_number),
+        ("greedy", graphs.greedy_independence_number),
+        ("pair", graphs._alpha_and_greedy),
+        ("achieves-1", lambda g, b: graphs.achieves_ratio(g, 1, b)),
+        ("misses-3/2", lambda g, b: graphs.misses_ratio(g, Fraction(3, 2), b)),
+    )
+    records, points = [], 0
+    for name, g in _corpus(Graph, reductions):
+        for label, solve in sweeps:
+            steps = []
+            for budget in range(-1, MAX_BUDGET + 1):
+                fits, result = _outcome(lambda: solve(g, budget), BudgetExceededError)
+                steps.append(result)
+                if fits:
+                    break
+            points += len(steps)
+            records.append([name, label, steps])
+        for label, witness in (
+            ("trace", lambda: graphs.best_greedy_trace(g).picks),
+            ("mis", lambda: sorted(graphs.max_independent_set(g))),
+        ):
+            records.append([name, label, _outcome(witness, BudgetExceededError)[1]])
+    rng = random.Random(SEED + 1)
+    for i in range(20):
+        g, h = (Graph(n, _random_edges(rng, n, 0.5)) for n in (rng.randint(1, 4), rng.randint(1, 4)))
+        report = _outcome(lambda: reductions.verify_reduction(g, h).lines(), BudgetExceededError)
+        records.append([f"pair{i}", "verify", report[1]])
+    return {"points": points, "records": records}
+
+
+def run_tree(tree: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, __file__, "--collect", str(tree)],
+        env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{tree}: collection failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--collect", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.collect is not None:
+        json.dump(collect(args.collect.resolve()), sys.stdout)
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are both required")
+    parent, change = (run_tree(tree.resolve()) for tree in (args.parent, args.change))
+    for old, new in zip(parent["records"], change["records"]):
+        if old != new:
+            print(f"first difference at {old[0]} {old[1]}:\n  parent {old[2]}\n  change {new[2]}")
+            return 1
+    if len(parent["records"]) != len(change["records"]):
+        print(f"record counts differ: {len(parent['records'])} vs {len(change['records'])}")
+        return 1
+    print(f"no difference: {len(parent['records'])} records, {parent['points']} budget points")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -99,6 +99,8 @@ class Election:
         return state
 
     def name_of(self, c: int) -> str:
+        if not 0 <= c < len(self.candidates):
+            raise ValueError(f"no candidate with id {c}")
         return self.candidates[c].name
 
     def id_of(self, name: str) -> int:
@@ -141,6 +143,9 @@ def pairwise_tally(e: Election) -> list[list[int]]:
 
 def defeats(e: Election, a: int, b: int) -> bool:
     """Whether strictly more than half of the voters rank a above b."""
+    for c in (a, b):
+        if not 0 <= c < e.num_candidates:
+            raise ValueError(f"no candidate with id {c}")
     if a == b:
         raise ValueError("a candidate cannot face itself")
     return 2 * pairwise_tally(e)[a][b] > e.num_voters

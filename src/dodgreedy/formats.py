@@ -14,7 +14,7 @@ from .batch import AnswerVector, Query, QueryBatch
 from .elections import Election
 from .errors import ParseError
 from .graphs import Graph
-from .reductions import PART_LABELS, ReductionArtifact
+from .reductions import JOIN_PAIRS, PART_LABELS, ReductionArtifact, _layout
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -171,6 +171,9 @@ def parse_partmap(text: str) -> tuple[dict[str, range], frozenset[frozenset[str]
     missing = [label for label in PART_LABELS if label not in parts]
     if missing:
         raise ParseError(f"part map is missing {', '.join(missing)}")
+    n = len(parts["G1"])
+    if parts != dict(_layout(n)) or joins != JOIN_PAIRS:
+        raise ParseError(f"part map is not the layout of an artifact with n = {n}")
     return parts, frozenset(joins)
 
 

@@ -25,9 +25,10 @@ alpha <= the size of any partition into cliques.  The bound is a greedy
 clique cover unless alpha of the set is known.  Alpha is computed lazily:
 only when the best tie so far is below the cover and the set is
 triangle-free (a double subdivision, say), where the cover is no better
-than a maximal matching.  All such probes share one independence memo,
-whose `owner` is the greedy search while it probes: every state a probe
-stores adds to the greedy search's `stored` count, against its budget.
+than a maximal matching.  All such probes share one independence memo, and
+the greedy search passes itself to each probe as the owner of its states:
+every state a probe stores adds to the greedy search's `stored` count,
+against its budget.
 """
 
 from __future__ import annotations
@@ -119,14 +120,20 @@ class Graph:
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self._adj) // 2
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"no vertex {v} in a graph on {self.n} vertices")
+        return v
+
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[self._vertex(v)].bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self._adj[v]))
+        return frozenset(_bits(self._adj[self._vertex(v)]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self._adj[u] >> v & 1)
+        # rows hold no loops, so u == v reads false
+        return bool(self._adj[self._vertex(u)] >> self._vertex(v) & 1)
 
     def complement(self) -> Graph:
         full = (1 << self.n) - 1
@@ -295,12 +302,10 @@ class _Search:
     that set's rule, so the stack's length is the search depth.  Taking a
     vertex removes it and its neighbors and counts one; `picks` replays
     those choices to recover a solution.  Each state stored is counted in
-    the `stored` of the search's `owner` (itself when `owner` is None):
-    once `owner.stored` reaches `owner.budget`, storing one more raises
-    BudgetExceededError naming the owner's `what`.
+    the `stored` of the `owner` passed to `solve` (the search itself by
+    default): once `owner.stored` reaches `owner.budget`, storing one more
+    raises BudgetExceededError naming the owner's `what`.
     """
-
-    owner: _Search | None = None
 
     def __init__(self, g: Graph, budget: int):
         self.adj = g._adj
@@ -308,12 +313,12 @@ class _Search:
         self.stored = 0
         self.cache: dict[int, int] = {0: 0}  # the empty set is free, not a state
 
-    def solve(self, mask: int) -> int:
+    def solve(self, mask: int, owner: _Search | None = None) -> int:
         cache = self.cache
         value = cache.get(mask)
         if value is not None:
             return value
-        owner = self.owner or self
+        owner = owner or self
         masks, rules = [mask], [self._value(mask)]
         while True:
             try:
@@ -447,25 +452,24 @@ class _GreedySolver(_Search):
     Any greedy run is an independent set, so no tie can beat the residual
     set's independence number, which no partition into cliques undercuts.
     Once a tie reaches that bound the rest are skipped.  The bound is the
-    exact alpha where the memo of `mis` (a `_MisSolver` on the same graph)
-    holds the residual set, else `_clique_cover_size`.  If the best tie so
-    far is below the cover and the residual set is triangle-free, `mis`
-    solves alpha exactly and it replaces the cover.  Without triangles every
-    clique of the cover has at most two vertices, so the cover is at least
-    half the set however small alpha is; with them (as in the reduction's
-    artifacts) greedy often stays below alpha anyway, and a probe would be
-    wasted.  A bound only prunes, so the value is exact either way.  This
-    solver is the `owner` of `mis` during a probe, so the probe's states add
-    to its own `stored`; those `mis` stored before do not (alpha's, in
-    `_alpha_and_greedy`).  The owner is reset after each probe, so no
-    reference cycle keeps a finished search's memos alive.
+    exact alpha where the memo of `mis` (its own `_MisSolver` on the same
+    graph) holds the residual set, else `_clique_cover_size`.  If the best
+    tie so far is below the cover and the residual set is triangle-free,
+    `mis` solves alpha exactly and it replaces the cover.  Without triangles
+    every clique of the cover has at most two vertices, so the cover is at
+    least half the set however small alpha is; with them (as in the
+    reduction's artifacts) greedy often stays below alpha anyway, and a
+    probe would be wasted.  A bound only prunes, so the value is exact
+    either way.  A probe passes this solver to `mis.solve` as the owner of
+    its states, so they add to this solver's `stored`; states `mis` stored
+    on its own behalf do not (alpha's, in `_alpha_and_greedy`).
     """
 
     what = "best greedy value"
 
-    def __init__(self, g: Graph, budget: int, mis: _MisSolver | None = None):
+    def __init__(self, g: Graph, budget: int):
         super().__init__(g, budget)
-        self.mis = _MisSolver(g, budget) if mis is None else mis
+        self.mis = _MisSolver(g, budget)
 
     def _value(self, mask: int) -> Generator[int, int, int]:
         adj = self.adj
@@ -482,11 +486,7 @@ class _GreedySolver(_Search):
             if bound is None:
                 bound = _clique_cover_size(adj, mask)
                 if best < bound and _is_triangle_free(adj, mask):
-                    self.mis.owner = self
-                    try:
-                        bound = self.mis.solve(mask)
-                    finally:
-                        self.mis.owner = None
+                    bound = self.mis.solve(mask, self)
             for v in ties:
                 if best >= bound:
                     break
@@ -585,9 +585,9 @@ def greedy_reaches(g: Graph, size: int, budget: int = DEFAULT_BUDGET) -> bool:
 def _alpha_and_greedy(g: Graph, budget: int) -> tuple[int, int]:
     """Alpha and best greedy value, the greedy search bounded by alpha's solver."""
     full = (1 << g.n) - 1
-    mis = _MisSolver(g, budget)
-    alpha = mis.solve(full)
-    return alpha, _GreedySolver(g, budget, mis).solve(full)
+    greedy = _GreedySolver(g, budget)
+    alpha = greedy.mis.solve(full)
+    return alpha, greedy.solve(full)
 
 
 def _check_ratio(r: Ratio) -> Fraction:

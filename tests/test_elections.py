@@ -51,6 +51,13 @@ class TestValidation:
         assert a != single(["A", "B"], ["B", "A"])
         assert len({a, b, single(["A", "B"], ["B", "A"])}) == 2
 
+    @pytest.mark.parametrize("c", [-1, 2])
+    def test_name_of_rejects_id_outside_election(self, c):
+        e = single(["A", "B"], ["B", "A"])
+        assert [e.name_of(0), e.name_of(1)] == ["A", "B"]
+        with pytest.raises(ValueError, match=f"no candidate with id {c}$"):
+            e.name_of(c)
+
     def test_pickle_leaves_stored_hash_behind(self):
         # a str's hash is per process, so an unpickled copy computes its own
         e = single(["A", "B"], ["B", "A"])
@@ -106,6 +113,11 @@ class TestDefeats:
     def test_same_candidate_rejected(self, four_voter):
         with pytest.raises(ValueError):
             el.defeats(four_voter, 0, 0)
+
+    @pytest.mark.parametrize("a, b, bad", [(-1, 0, -1), (3, 0, 3), (0, 3, 3), (0, -1, -1)])
+    def test_candidate_outside_election_rejected(self, three_voter, a, b, bad):
+        with pytest.raises(ValueError, match=f"no candidate with id {bad}$"):
+            el.defeats(three_voter, a, b)
 
 
 class TestCondorcetWinner:

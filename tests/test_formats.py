@@ -258,6 +258,30 @@ class TestPartmapFormat:
         with pytest.raises(ParseError, match=f"line 1: {error}"):
             fmt.parse_partmap("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("part G2 4..6", "part G2 1..3"),  # overlaps G1
+            ("part I2 21..28", "part I2 21..99"),  # runs past ell = 2n + 2
+            ("join G1 H2", "join G1 G1"),
+            ("join G1 H2", ""),
+        ],
+        ids=["overlap", "I2-too-long", "self-join", "missing-join"],
+    )
+    def test_layout_mismatch_rejected(self, old, new):
+        text = fmt.format_partmap(red.build_reduction(Graph(1), Graph.empty(2)))
+        assert old in text
+        with pytest.raises(ParseError, match="not the layout of an artifact with n = 3"):
+            fmt.parse_partmap(text.replace(old, new))
+
+    def test_map_of_no_artifact_rejected(self):
+        text = "\n".join([
+            "part G1 1..2", "part G2 1..2", "part H1 3..4", "part H2 5..6",
+            "part I1 7..12", "part I2 13..99", "join G1 G1", "join I1 I2",
+        ])
+        with pytest.raises(ParseError, match="n = 2"):
+            fmt.parse_partmap(text)
+
 
 class TestBatchFormat:
     def test_round_trip(self, four_voter, greedy_gap_graph):

@@ -115,6 +115,27 @@ class TestGraphType:
         assert g.neighbors(2) == {0, 3}
         assert g.degree(2) == 2
 
+    @pytest.mark.parametrize(
+        "ask, vertex",
+        [
+            (lambda g: g.degree(-1), -1),
+            (lambda g: g.degree(3), 3),
+            (lambda g: g.neighbors(-1), -1),
+            (lambda g: g.neighbors(3), 3),
+            (lambda g: g.has_edge(-1, 1), -1),
+            (lambda g: g.has_edge(1, -1), -1),
+            (lambda g: g.has_edge(1, 3), 3),
+        ],
+        ids=["degree-1", "degree3", "neighbors-1", "neighbors3",
+             "has_edge-1,1", "has_edge1,-1", "has_edge1,3"],
+    )
+    def test_rejects_vertex_outside_graph(self, ask, vertex):
+        with pytest.raises(ValueError, match=f"no vertex {vertex} in a graph on 3 vertices"):
+            ask(Graph.path(3))
+
+    def test_has_edge_of_a_vertex_with_itself(self):
+        assert not any(Graph.complete(3).has_edge(v, v) for v in range(3))
+
     def test_equality_and_hash(self):
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(1, 0)]))
@@ -358,7 +379,34 @@ class TestGreedyIndependenceNumber:
         assert solver.stored == 4
         assert (len(solver.cache) - 1, len(solver.mis.cache) - 1) == (3, 1)
         assert full not in solver.mis.cache
-        assert solver.mis.owner is None  # handed back, even on the error
+        assert solver.mis.stored == 0  # the probe's states were the greedy search's
+
+    # A probe charges its states to the greedy search it names as owner, so
+    # they land in the greedy count and never in the alpha solver's; alpha
+    # solved first on the same solver keeps its states in its own count,
+    # and its memo spares the probes.
+    @pytest.mark.parametrize(
+        "g, own, probed, alpha_states, probed_after_alpha",
+        [
+            (petersen(), 4, 5, 5, 0),
+            (red.build_reduction(Graph.path(3), Graph.complete(2)).graph, 115, 8, 20, 2),
+        ],
+        ids=["Petersen", "artifact(P3,K2)"],
+    )
+    def test_probe_states_go_to_the_owner(self, g, own, probed, alpha_states, probed_after_alpha):
+        full = (1 << g.n) - 1
+        solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        solver.solve(full)
+        assert len(solver.cache) - 1 == own
+        assert (solver.stored, solver.mis.stored) == (own + probed, 0)
+
+        solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        solver.mis.solve(full)
+        assert solver.mis.stored == alpha_states
+        solver.solve(full)
+        assert len(solver.cache) - 1 == own
+        assert solver.mis.stored == alpha_states
+        assert solver.stored == own + probed_after_alpha
 
     def test_finished_solvers_are_freed_at_once(self):
         # no reference cycle between a greedy search and its alpha memo, so
@@ -375,9 +423,10 @@ class TestGreedyIndependenceNumber:
         finally:
             gc.enable()
 
-    # The paired solve of achieves_ratio and misses_ratio stores alpha's
-    # states against the budget first, then hands alpha's memo to the greedy
-    # search, whose own and probe states count against a budget of its own.
+    # The paired solve of achieves_ratio and misses_ratio first solves alpha
+    # on the greedy search's own alpha solver, against the budget, then the
+    # greedy search, whose own and probe states count against a budget of
+    # its own.
     # Petersen: alpha 5, then greedy 4 (the memo holds the whole graph, so
     # nothing is probed), so no budget runs out in greedy first.  The
     # artifact: alpha 20, then greedy 115 + 2 probe states.
@@ -407,9 +456,10 @@ class TestGreedyIndependenceNumber:
         full = (1 << g.n) - 1
 
         def handoff(budget):
-            mis = gr._MisSolver(g, alpha_states)
-            mis.solve(full)
-            return gr._GreedySolver(g, budget, mis).solve(full)
+            solver = gr._GreedySolver(g, budget)
+            solver.mis.budget = alpha_states
+            solver.mis.solve(full)
+            return solver.solve(full)
 
         handoff(greedy_states)
         with pytest.raises(BudgetExceededError) as exc:
