@@ -7,7 +7,12 @@ Each tree is run in a process of its own that imports only that tree's
 
 - 300 G(n, p) graphs on 0-13 vertices;
 - 120 double subdivisions of random 1-6-vertex bases;
-- 40 reduction artifacts of random 1-3-vertex pairs.
+- 40 reduction artifacts of random 1-3-vertex pairs;
+- the band graphs P_n^2 (each vertex joined to the next two) for n = 3-60;
+- paths on 1-20 vertices and on 30, 50, 75, 100, 150 and 200 vertices,
+  whose greedy searches are long chains of picks;
+- 30 spiders (a centre with 2-6 paths of 1-8 vertices hanging off it),
+  whose picks split the rest into pieces.
 
 On every corpus graph, `independence_number`, `greedy_independence_number`,
 `_alpha_and_greedy`, `achieves_ratio` at r = 1 and `misses_ratio` at
@@ -56,6 +61,17 @@ def _corpus(Graph, reductions) -> list[tuple[str, object]]:
     for i in range(40):
         g, h = (Graph(n, _random_edges(rng, n, 0.5)) for n in (rng.randint(1, 3), rng.randint(1, 3)))
         corpus.append((f"artifact{i}", reductions.build_reduction(g, h).graph))
+    for n in range(3, 61):
+        corpus.append((f"band{n}", Graph(n, [(i, i + d) for d in (1, 2) for i in range(n - d)])))
+    for n in [*range(1, 21), 30, 50, 75, 100, 150, 200]:
+        corpus.append((f"path{n}", Graph(n, [(i, i + 1) for i in range(n - 1)])))
+    for i in range(30):
+        edges, top = [], 1
+        for _ in range(rng.randint(2, 6)):
+            length = rng.randint(1, 8)
+            edges += [(0 if j == 0 else top + j - 1, top + j) for j in range(length)]
+            top += length
+        corpus.append((f"spider{i}", Graph(top, edges)))
     return corpus
 
 

@@ -13,7 +13,16 @@ independence number, a minimum-degree vertex for greedy.
 A rule is a generator: it yields each smaller residual set it needs and
 receives that set's value back.  The core runs the suspended rules on an
 explicit stack, so a search over an n-vertex graph needs no interpreter
-recursion and leaves the process's recursion limit alone.
+recursion and leaves the process's recursion limit alone.  Each rule is
+also told its parent's residual set, which lets the greedy rules carry
+residual degrees down the stack instead of rescanning: degrees sit in
+buckets (one bitmask of vertices per degree), a pick changes only the
+degrees of its boundary (the vertices next to what it removed), and a
+rule moves those down a bucket or more on entry and back on return.  The
+same boundary decides whether the rest of a pick is still connected, by a
+search that stops once it has reached every boundary vertex.  The one-shot
+`min_degree_greedy` and `replay_trace` use the same buckets, so a run
+keeps its degrees with O(n + m) popcounts instead of a rescan per pick.
 
 Both searches prune only by exact rules.  The independence search takes any
 simplicial vertex (one whose residual neighbourhood is a clique) without
@@ -244,6 +253,89 @@ def _min_degree_vertices(adj: Sequence[int], mask: int) -> list[int]:
     return ties
 
 
+def _degree_buckets(adj: Sequence[int], mask: int) -> list[int]:
+    """bucket[d]: the bitmask of the vertices (outside `mask` too) with d
+    neighbours in `mask`."""
+    bucket = [0] * len(adj)
+    bit = 1
+    for row in adj:
+        bucket[(row & mask).bit_count()] |= bit
+        bit += bit
+    return bucket
+
+
+def _lowest_bucket(bucket: Sequence[int], mask: int) -> int:
+    """The vertices of the nonempty `mask` with the least degree, as a bitmask."""
+    for vertices in bucket:
+        if vertices & mask:
+            return vertices & mask
+    raise AssertionError("a vertex of mask has no degree")  # pragma: no cover
+
+
+def _boundary(adj: Sequence[int], removed: int, rest: int) -> int:
+    """The vertices of `rest` with a neighbour in `removed`."""
+    near = 0
+    if removed.bit_count() <= rest.bit_count():  # walk the smaller set
+        while removed:
+            low = removed & -removed
+            removed ^= low
+            near |= adj[low.bit_length() - 1]
+        return near & rest
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if adj[low.bit_length() - 1] & removed:
+            near |= low
+    return near
+
+
+def _lower_degrees(
+    adj: Sequence[int], bucket: list[int], removed: int, rest: int, boundary: int
+) -> list[tuple[int, int, int]]:
+    """Move each vertex of `boundary` (in `rest`) down from the bucket of its
+    degree in `rest | removed` to that of its degree in `rest`: one
+    popcount of its neighbours in each.  Returns the moves, as (bit, old
+    degree, new degree), for the caller to undo."""
+    moves = []
+    while boundary:
+        low = boundary & -boundary
+        boundary ^= low
+        row = adj[low.bit_length() - 1]
+        new = (row & rest).bit_count()
+        old = new + (row & removed).bit_count()
+        bucket[old] ^= low
+        bucket[new] |= low
+        moves.append((low, old, new))
+    return moves
+
+
+def _take(adj: Sequence[int], bucket: list[int], mask: int, v: int) -> int:
+    """Take v: remove it and its neighbours from `mask`, move the vertices
+    that lose a neighbour to their new buckets, and return the rest."""
+    removed = mask & ((1 << v) | adj[v])
+    mask ^= removed
+    _lower_degrees(adj, bucket, removed, mask, _boundary(adj, removed, mask))
+    return mask
+
+
+def _in_one_component(adj: Sequence[int], mask: int, targets: int) -> bool:
+    """Whether the nonempty `targets` lie in one component of `mask`: a
+    search from one of them that stops once it has reached them all."""
+    frontier = targets & -targets
+    unreached = mask ^ frontier
+    while targets & unreached:
+        if not frontier:
+            return False
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= adj[low.bit_length() - 1]
+        frontier = grow & unreached
+        unreached ^= frontier
+    return True
+
+
 def _is_clique(adj: Sequence[int], mask: int) -> bool:
     """Whether the vertices of `mask` are pairwise adjacent."""
     while mask:
@@ -293,18 +385,20 @@ def _clique_cover_size(adj: Sequence[int], mask: int) -> int:
 class _Search:
     """Memoized best-value search over vertex subsets of one graph.
 
-    A subclass gives the rules: `_value(mask)` scores a nonempty residual
-    set, and `_choices(mask)` names the vertices a best solution may take
-    first.  `_value` is a generator: each `(yield sub)` hands `solve` a
-    smaller residual set and receives its value, and the generator returns
-    the value of `mask`.  `solve` keeps the suspended rules on a stack,
-    answers a yielded set from the memo when it can and otherwise pushes
-    that set's rule, so the stack's length is the search depth.  Taking a
-    vertex removes it and its neighbors and counts one; `picks` replays
-    those choices to recover a solution.  Each state stored is counted in
-    the `stored` of the `owner` passed to `solve` (the search itself by
-    default): once `owner.stored` reaches `owner.budget`, storing one more
-    raises BudgetExceededError naming the owner's `what`.
+    A subclass gives the rules: `_value(mask, parent)` scores a nonempty
+    residual set, and `_choices(mask)` names the vertices a best solution
+    may take first.  `_value` is a generator: each `(yield sub)` hands
+    `solve` a smaller residual set and receives its value, and the
+    generator returns the value of `mask`.  `parent` is the set whose rule
+    yielded `mask`, or None for the set `solve` was called on (a root); a
+    rule may use it to carry work down from its parent.  `solve` keeps the
+    suspended rules on a stack, answers a yielded set from the memo when it
+    can and otherwise pushes that set's rule, so the stack's length is the
+    search depth.  Taking a vertex removes it and its neighbors and counts
+    one; `picks` replays those choices to recover a solution.  Each state
+    stored is counted in the `stored` of the `owner` passed to `solve` (the
+    search itself by default): once `owner.stored` reaches `owner.budget`,
+    storing one more raises BudgetExceededError naming the owner's `what`.
     """
 
     def __init__(self, g: Graph, budget: int):
@@ -319,7 +413,7 @@ class _Search:
         if value is not None:
             return value
         owner = owner or self
-        masks, rules = [mask], [self._value(mask)]
+        masks, rules = [mask], [self._value(mask, None)]
         while True:
             try:
                 sub = rules[-1].send(value)
@@ -335,8 +429,8 @@ class _Search:
                 continue
             value = cache.get(sub)
             if value is None:
+                rules.append(self._value(sub, masks[-1]))
                 masks.append(sub)
-                rules.append(self._value(sub))
 
     def picks(self, mask: int) -> list[int]:
         picks = []
@@ -376,7 +470,7 @@ class _MisSolver(_Search):
 
     what = "independence number"
 
-    def _value(self, mask: int) -> Generator[int, int, int]:
+    def _value(self, mask: int, parent: int | None) -> Generator[int, int, int]:
         adj = self.adj
         taken = 0
         work = mask
@@ -463,6 +557,25 @@ class _GreedySolver(_Search):
     either way.  A probe passes this solver to `mis.solve` as the owner of
     its states, so they add to this solver's `stored`; states `mis` stored
     on its own behalf do not (alpha's, in `_alpha_and_greedy`).
+
+    Residual degrees are carried down the search, not rescanned:
+    `bucket[d]` is the bitmask of the vertices with d neighbours in the
+    set of the running rule, so a state's minimum-degree ties are the
+    first nonempty `bucket[d] & mask`, lowest vertex first.  A rule's set
+    is its parent's less R = parent - mask.  Only the boundary, the
+    vertices of `mask` with a neighbour in R, change degree.  The rule
+    moves each down by its number of neighbours in R when it starts (two
+    popcounts a vertex, not one update an edge) and back before it
+    returns.  A component of a split parent has no boundary.  The rest of
+    a connected set after a pick is connected iff its boundary lies in one
+    component, since every vertex reached R through it.  A search from
+    one boundary vertex that stops once it has reached them all settles
+    this; only at a root, or when that search fails, are the components
+    found by a full scan (lowest vertex first, as always).  A root refills
+    `bucket` for its set, so a solver that raised BudgetExceededError
+    midway, with some rules' moves never undone, solves correctly again.
+    A clique scores 1 at once: any pick takes all of it.  Only the clique
+    cover still walks the whole set.
     """
 
     what = "best greedy value"
@@ -470,29 +583,51 @@ class _GreedySolver(_Search):
     def __init__(self, g: Graph, budget: int):
         super().__init__(g, budget)
         self.mis = _MisSolver(g, budget)
+        self.bucket: list[int] = []
 
-    def _value(self, mask: int) -> Generator[int, int, int]:
-        adj = self.adj
-        comps = _components(adj, mask)
+    def _value(self, mask: int, parent: int | None) -> Generator[int, int, int]:
+        adj, bucket = self.adj, self.bucket
+        if _is_clique(adj, mask):
+            return 1  # any pick takes all of it; no degree is read
+        moves, comps = None, ()
+        if parent is None:
+            bucket[:] = _degree_buckets(adj, mask)
+            comps = _components(adj, mask)
+        else:  # carry the parent's degrees; see the class docstring
+            removed = parent & ~mask
+            boundary = _boundary(adj, removed, mask)
+            if boundary:
+                moves = _lower_degrees(adj, bucket, removed, mask, boundary)
+                if boundary & (boundary - 1) and not _in_one_component(adj, mask, boundary):
+                    comps = _components(adj, mask)
         if len(comps) > 1:
-            total = 0
+            best = 0
             for c in comps:
-                total += yield c
-            return total
-        first, *ties = _min_degree_vertices(adj, mask)
-        best = 1 + (yield mask & ~((1 << first) | adj[first]))
-        if ties:
-            bound = self.mis.cache.get(mask)
-            if bound is None:
-                bound = _clique_cover_size(adj, mask)
-                if best < bound and _is_triangle_free(adj, mask):
-                    bound = self.mis.solve(mask, self)
-            for v in ties:
-                if best >= bound:
+                best += yield c
+        else:
+            for tied in bucket:  # _lowest_bucket, inlined: it runs at every state
+                tied &= mask
+                if tied:
                     break
-                value = 1 + (yield mask & ~((1 << v) | adj[v]))
-                if value > best:
-                    best = value
+            low = tied & -tied
+            ties = tied ^ low
+            best = 1 + (yield mask & ~(low | adj[low.bit_length() - 1]))
+            if ties:
+                bound = self.mis.cache.get(mask)
+                if bound is None:
+                    bound = _clique_cover_size(adj, mask)
+                    if best < bound and _is_triangle_free(adj, mask):
+                        bound = self.mis.solve(mask, self)
+                while ties and best < bound:
+                    low = ties & -ties
+                    ties ^= low
+                    value = 1 + (yield mask & ~(low | adj[low.bit_length() - 1]))
+                    if value > best:
+                        best = value
+        if moves:
+            for low, old, new in moves:
+                bucket[new] ^= low
+                bucket[old] |= low
         return best
 
     def _choices(self, mask: int) -> list[int]:
@@ -533,11 +668,12 @@ def min_degree_greedy(
     """
     adj = g._adj
     mask = (1 << g.n) - 1
+    bucket = _degree_buckets(adj, mask)
     picks = []
     while mask:
-        v = tie_break(_min_degree_vertices(adj, mask))
+        v = tie_break(list(_bits(_lowest_bucket(bucket, mask))))
         picks.append(v)
-        mask &= ~((1 << v) | adj[v])
+        mask = _take(adj, bucket, mask, v)
     return frozenset(picks), GreedyTrace(tuple(picks))
 
 
@@ -549,15 +685,16 @@ def replay_trace(g: Graph, trace: GreedyTrace) -> frozenset[int]:
     """
     adj = g._adj
     mask = (1 << g.n) - 1
+    bucket = _degree_buckets(adj, mask)
     for step, v in enumerate(trace.picks):
         if v < 0 or not mask >> v & 1:
             raise ValueError(f"step {step}: vertex {v} not in residual graph")
-        ties = _min_degree_vertices(adj, mask)
-        if v not in ties:
+        tied = _lowest_bucket(bucket, mask)
+        if not tied >> v & 1:
             d = (adj[v] & mask).bit_count()
-            mind = (adj[ties[0]] & mask).bit_count()
+            mind = (adj[(tied & -tied).bit_length() - 1] & mask).bit_count()
             raise ValueError(f"step {step}: vertex {v} has degree {d}, minimum is {mind}")
-        mask &= ~((1 << v) | adj[v])
+        mask = _take(adj, bucket, mask, v)
     if mask:
         raise ValueError("trace ends before the residual graph is empty")
     return frozenset(trace.picks)

@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import pickle
+import random
 import sys
 import weakref
 from fractions import Fraction
@@ -71,6 +72,16 @@ def band(n, reach=2):
     """P_n to the power `reach`: the path on n vertices, each vertex also
     joined to every vertex up to `reach` steps on (P_n squared by default)."""
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, i + reach + 1) if j < n])
+
+
+def spider(*legs):
+    """A tree: centre 0 with one path of each given length hanging off it.
+    Taking the centre, or a leg vertex, splits the rest into pieces."""
+    edges, top = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else top + i - 1, top + i) for i in range(length)]
+        top += length
+    return Graph(top, edges)
 
 
 def petersen():
@@ -305,6 +316,32 @@ class TestGreedyRun:
         with pytest.raises(ValueError):
             gr.replay_trace(g, GreedyTrace((1, 1, 2, 3)))
 
+    def test_replay_names_the_degrees(self):
+        g = Graph.star(3)
+        with pytest.raises(ValueError, match="^step 0: vertex 0 has degree 3, minimum is 1$"):
+            gr.replay_trace(g, GreedyTrace((0,)))
+        with pytest.raises(ValueError, match="^step 1: vertex 3 has degree 2, minimum is 1$"):
+            gr.replay_trace(Graph.path(5), GreedyTrace((0, 3)))
+        with pytest.raises(ValueError, match="^trace ends before the residual graph is empty$"):
+            gr.replay_trace(g, GreedyTrace((1,)))
+
+    @given(graph_strategy(max_n=9), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=80)
+    def test_tie_break_sees_the_minimum_degree_vertices(self, g, rng):
+        # each call gets the residual set's minimum-degree vertices, sorted
+        mask = (1 << g.n) - 1
+        offered = []
+
+        def pick(candidates):
+            offered.append(list(candidates))
+            return rng.choice(candidates)
+
+        _, trace = gr.min_degree_greedy(g, tie_break=pick)
+        for candidates, v in zip(offered, trace.picks):
+            assert candidates == gr._min_degree_vertices(g._adj, mask)
+            mask &= ~((1 << v) | g._adj[v])
+        assert len(offered) == len(trace) and mask == 0
+
     def test_replay_rejects_vertices_outside_the_graph(self):
         for v in (-1, 4):
             with pytest.raises(ValueError, match=f"step 0: vertex {v} not in residual graph"):
@@ -466,6 +503,38 @@ class TestGreedyIndependenceNumber:
             handoff(greedy_states - 1)
         assert (exc.value.what, exc.value.budget) == ("best greedy value", greedy_states - 1)
 
+    @pytest.mark.parametrize(
+        "g",
+        [band(60), spider(3, 5, 2, 6), petersen(),
+         red.build_reduction(Graph.path(3), Graph.complete(2)).graph],
+        ids=["P60^2", "spider", "Petersen", "artifact(P3,K2)"],
+    )
+    def test_solver_is_reusable_after_budget_error(self, g):
+        # the error leaves a search midway, with the carried degrees of its
+        # open picks still applied; the next root solve rebuilds them, so
+        # the search goes on to the fresh value through the fresh states
+        full = (1 << g.n) - 1
+        fresh = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        value = fresh.solve(full)
+        for budget in range(2, fresh.stored, 3):
+            solver = gr._GreedySolver(g, budget)
+            with pytest.raises(BudgetExceededError):
+                solver.solve(full)
+            solver.budget = gr.DEFAULT_BUDGET
+            assert solver.solve(full) == value
+            assert solver.cache.keys() == fresh.cache.keys()
+
+    # Greedy states stored after alpha has filled its memo, as in
+    # achieves_ratio: one per pick along the ends of the band or path.
+    @pytest.mark.parametrize("g, states", [(band(299), 100), (Graph.path(3000), 1500)],
+                             ids=["P299^2", "P3000"])
+    def test_greedy_states_after_alpha(self, g, states):
+        full = (1 << g.n) - 1
+        solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        solver.mis.solve(full)
+        assert solver.solve(full) == states
+        assert solver.stored == len(solver.cache) - 1 == states
+
     def test_long_path_needs_no_recursion(self):
         """The solvers run at the interpreter's default recursion limit and
         leave it as they found it."""
@@ -483,6 +552,84 @@ class TestGreedyIndependenceNumber:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(saved)
+
+
+class RescanGreedy(gr._Search):
+    """The best-greedy rule as it was before degrees were carried: every
+    state finds its components, its minimum-degree vertices and its clique
+    cover by scanning the whole residual set.  The same bound and probes as
+    `_GreedySolver`, so it must store the same states."""
+
+    what = "best greedy value"
+
+    def __init__(self, g, budget):
+        super().__init__(g, budget)
+        self.mis = gr._MisSolver(g, budget)
+
+    def _value(self, mask, parent):
+        adj = self.adj
+        comps = gr._components(adj, mask)
+        if len(comps) > 1:
+            total = 0
+            for c in comps:
+                total += yield c
+            return total
+        first, *ties = gr._min_degree_vertices(adj, mask)
+        best = 1 + (yield mask & ~((1 << first) | adj[first]))
+        if ties:
+            bound = self.mis.cache.get(mask)
+            if bound is None:
+                bound = gr._clique_cover_size(adj, mask)
+                if best < bound and gr._is_triangle_free(adj, mask):
+                    bound = self.mis.solve(mask, self)
+            for v in ties:
+                if best >= bound:
+                    break
+                value = 1 + (yield mask & ~((1 << v) | adj[v]))
+                if value > best:
+                    best = value
+        return best
+
+    def _choices(self, mask):
+        return gr._min_degree_vertices(self.adj, mask)
+
+
+def carried_degree_corpus():
+    """Seeded graphs on which a wrong connectivity or degree would show:
+    G(n, p), double subdivisions, small reduction artifacts, bands and
+    spiders (whose picks split the residual set)."""
+    rng = random.Random(7919)
+    corpus = []
+    for _ in range(60):
+        n = rng.randint(1, 16)
+        p = rng.choice((0.15, 0.3, 0.5))
+        corpus.append(Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p]))
+    for _ in range(15):
+        n = rng.randint(2, 6)
+        base = Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.5])
+        corpus.append(red.double_subdivision(base))
+    for _ in range(6):
+        g, h = (Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.5])
+                for n in (rng.randint(1, 3), rng.randint(1, 3)))
+        corpus.append(red.build_reduction(g, h).graph)
+    corpus += [band(n) for n in (3, 7, 20, 61)]
+    corpus += [spider(*(rng.randint(1, 6) for _ in range(rng.randint(2, 6)))) for _ in range(10)]
+    return corpus
+
+
+@pytest.mark.parametrize("after_alpha", [False, True], ids=["greedy", "after-alpha"])
+def test_carried_degrees_store_the_rescan_states(after_alpha):
+    for g in carried_degree_corpus():
+        full = (1 << g.n) - 1
+        solvers = gr._GreedySolver(g, gr.DEFAULT_BUDGET), RescanGreedy(g, gr.DEFAULT_BUDGET)
+        if after_alpha:
+            for solver in solvers:
+                solver.mis.solve(full)
+        carried, rescan = solvers
+        assert carried.solve(full) == rescan.solve(full), g
+        assert carried.stored == rescan.stored, g
+        assert carried.cache.keys() == rescan.cache.keys(), g
+        assert carried.mis.cache.keys() == rescan.mis.cache.keys(), g
 
 
 class TestGreedyReaches:
