@@ -17,10 +17,13 @@ Each tree is run in a process of its own that imports only that tree's
 On every corpus graph, `independence_number`, `greedy_independence_number`,
 `_alpha_and_greedy`, `achieves_ratio` at r = 1 and `misses_ratio` at
 r = 3/2 are run at every budget from -1 up to the first one that fits, and
-each value or `(what, budget)` error is recorded.  At the default budget
-the script also records `best_greedy_trace` and `max_independent_set` on
-every corpus graph, and `verify_reduction(g, h).lines()` on 20 random
-pairs of 1-4-vertex graphs.
+each value or `(what, budget)` error is recorded.  The witnesses
+`best_greedy_trace` and `max_independent_set` are checked on every corpus
+graph at the least budget that fits, found by doubling and then bisecting
+(a witness that fits a budget fits every larger one): the script records
+that budget, the witness there and the `(what, budget)` error one below
+it.  At the default budget it also records `verify_reduction(g, h).lines()`
+on 20 random pairs of 1-4-vertex graphs.
 
 Exits 0 and prints the number of budget points when the two record lists
 are equal; otherwise exits 1 and names the first difference.  Standard
@@ -85,6 +88,34 @@ def _outcome(call, BudgetExceededError):
     return True, ["value", value if isinstance(value, (bool, int)) else list(value)]
 
 
+def _least_fit(attempt) -> tuple[list, int]:
+    """The least budget from -1 up at which `attempt(budget)` fits, by
+    doubling and then bisecting, as `[budget, outcome one below (or None),
+    outcome there]`, and the number of budgets tried.  Budgets are
+    monotone: an attempt that fits a budget fits every larger one."""
+    fits, high = attempt(-1)
+    if fits:
+        return [-1, None, high], 1
+    lo, low, hi, tried = -1, high, 1, 1
+    while True:  # double until it fits, or record the failure at the cap
+        fits, high = attempt(hi)
+        tried += 1
+        if fits or hi == MAX_BUDGET:
+            break
+        lo, low, hi = hi, high, min(2 * hi, MAX_BUDGET)
+    if not fits:
+        return [None, None, high], tried
+    while hi - lo > 1:  # lo fails, hi fits
+        mid = (lo + hi) // 2
+        fits, result = attempt(mid)
+        tried += 1
+        if fits:
+            hi, high = mid, result
+        else:
+            lo, low = mid, result
+    return [hi, low, high], tried
+
+
 def collect(tree: Path) -> dict:
     """The records of one tree, computed with that tree's own modules."""
     sys.path.insert(0, str(tree / "src"))
@@ -113,10 +144,12 @@ def collect(tree: Path) -> dict:
             points += len(steps)
             records.append([name, label, steps])
         for label, witness in (
-            ("trace", lambda: graphs.best_greedy_trace(g).picks),
-            ("mis", lambda: sorted(graphs.max_independent_set(g))),
+            ("trace", lambda b: graphs.best_greedy_trace(g, b).picks),
+            ("mis", lambda b: sorted(graphs.max_independent_set(g, b))),
         ):
-            records.append([name, label, _outcome(witness, BudgetExceededError)[1]])
+            least, tried = _least_fit(lambda b: _outcome(lambda: witness(b), BudgetExceededError))
+            points += tried
+            records.append([name, label, least])
     rng = random.Random(SEED + 1)
     for i in range(20):
         g, h = (Graph(n, _random_edges(rng, n, 0.5)) for n in (rng.randint(1, 4), rng.randint(1, 4)))

@@ -30,13 +30,9 @@ from .elections import (
 )
 from .errors import BudgetExceededError, IntegrityError, ParseError
 from .formats import (
-    format_answers,
-    format_batch,
     format_election,
     format_graph,
     format_partmap,
-    parse_answers,
-    parse_batch,
     parse_election,
     parse_graph,
     parse_partmap,

@@ -25,7 +25,7 @@ QUERY_KINDS = ("score_at_most", "alpha_geq", "mdg_geq")
 
 @dataclass(frozen=True)
 class Query:
-    """One yes/no question: a serialized instance plus a threshold."""
+    """One yes/no question: an instance as a plain payload dict plus a threshold."""
 
     kind: str
     payload: dict

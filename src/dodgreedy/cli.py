@@ -62,9 +62,10 @@ def _cmd_condorcet(args) -> int:
     e = _load_election(args.election)
     winner = elections.condorcet_winner(e)
     print(f"condorcet = {e.name_of(winner) if winner is not None else 'none'}")
+    tally = elections.pairwise_tally(e)
     for a in range(e.num_candidates):
         for b in range(e.num_candidates):
-            if a != b and elections.defeats(e, a, b):
+            if a != b and elections._defeats_in(tally, a, b, e.num_voters):
                 print(f"beats {e.name_of(a)} {e.name_of(b)}")
     return 0
 

@@ -148,13 +148,16 @@ def defeats(e: Election, a: int, b: int) -> bool:
             raise ValueError(f"no candidate with id {c}")
     if a == b:
         raise ValueError("a candidate cannot face itself")
-    return 2 * pairwise_tally(e)[a][b] > e.num_voters
+    return _defeats_in(pairwise_tally(e), a, b, e.num_voters)
+
+
+def _defeats_in(tally: list[list[int]], a: int, b: int, num_voters: int) -> bool:
+    """`defeats`, read off a `pairwise_tally`."""
+    return 2 * tally[a][b] > num_voters
 
 
 def _beats_all(tally: list[list[int]], c: int, num_voters: int) -> bool:
-    return all(
-        2 * tally[c][d] > num_voters for d in range(len(tally)) if d != c
-    )
+    return all(_defeats_in(tally, c, d, num_voters) for d in range(len(tally)) if d != c)
 
 
 def condorcet_winner(e: Election) -> int | None:

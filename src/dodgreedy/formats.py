@@ -1,4 +1,4 @@
-"""Line-oriented text formats for elections, graphs, artifacts, and batches.
+"""Line-oriented text formats for elections, graphs, and artifact part maps.
 
 All formatters are deterministic (sorted, no timestamps) so that identical
 inputs serialize byte-identically; every parser reports 1-based line
@@ -7,10 +7,8 @@ numbers on failure.
 
 from __future__ import annotations
 
-import json
 import warnings
 
-from .batch import AnswerVector, Query, QueryBatch
 from .elections import Election
 from .errors import ParseError
 from .graphs import Graph
@@ -175,60 +173,3 @@ def parse_partmap(text: str) -> tuple[dict[str, range], frozenset[frozenset[str]
     if parts != dict(_layout(n)) or joins != JOIN_PAIRS:
         raise ParseError(f"part map is not the layout of an artifact with n = {n}")
     return parts, frozenset(joins)
-
-
-def _payload_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def format_batch(batch: QueryBatch) -> str:
-    lines = [f"q {q.kind} {_payload_json(q.payload)}" for q in batch.queries]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_batch(text: str) -> QueryBatch:
-    queries = []
-    for lineno, line in _content_lines(text):
-        fields = line.split(maxsplit=2)
-        if len(fields) != 3 or fields[0] != "q":
-            raise ParseError(f"line {lineno}: expected `q <kind> <payload>`")
-        try:
-            payload = json.loads(fields[2])
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: bad payload: {exc}") from None
-        try:
-            queries.append(Query(fields[1], payload))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return QueryBatch(tuple(queries))
-
-
-def format_answers(av: AnswerVector) -> str:
-    lines = []
-    for answer, error in zip(av.answers, av.errors):
-        if answer is None:
-            lines.append(f"a ? {error}")
-        else:
-            lines.append(f"a {int(answer)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_answers(text: str) -> AnswerVector:
-    answers: list[bool | None] = []
-    errors: list[str | None] = []
-    for lineno, line in _content_lines(text):
-        fields = line.split(maxsplit=2)
-        if len(fields) < 2 or fields[0] != "a":
-            raise ParseError(f"line {lineno}: expected `a <0|1>`")
-        if fields[1] == "0":
-            answers.append(False)
-            errors.append(None)
-        elif fields[1] == "1":
-            answers.append(True)
-            errors.append(None)
-        elif fields[1] == "?":
-            answers.append(None)
-            errors.append(fields[2] if len(fields) > 2 else "unknown error")
-        else:
-            raise ParseError(f"line {lineno}: expected `a <0|1>`")
-    return AnswerVector(tuple(answers), tuple(errors))

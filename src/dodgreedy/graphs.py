@@ -237,22 +237,6 @@ def _co_components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
-def _min_degree_vertices(adj: Sequence[int], mask: int) -> list[int]:
-    """The vertices of `mask` with minimum residual degree, in increasing order."""
-    ties, mind = [], len(adj)  # every degree is below the vertex count
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        d = (adj[v] & mask).bit_count()
-        if d < mind:
-            ties, mind = [v], d
-        elif d == mind:
-            ties.append(v)
-    return ties
-
-
 def _degree_buckets(adj: Sequence[int], mask: int) -> list[int]:
     """bucket[d]: the bitmask of the vertices (outside `mask` too) with d
     neighbours in `mask`."""
@@ -386,10 +370,12 @@ class _Search:
     """Memoized best-value search over vertex subsets of one graph.
 
     A subclass gives the rules: `_value(mask, parent)` scores a nonempty
-    residual set, and `_choices(mask)` names the vertices a best solution
-    may take first.  `_value` is a generator: each `(yield sub)` hands
-    `solve` a smaller residual set and receives its value, and the
-    generator returns the value of `mask`.  `parent` is the set whose rule
+    residual set, and `_choices(bucket, mask)` names, as a bitmask, the
+    vertices a best solution may take first (`bucket` holds the degrees in
+    `mask`, as `_degree_buckets` gives them, and `picks` moves it with
+    `_take`).  `_value` is a generator: each `(yield sub)` hands `solve` a
+    smaller residual set and receives its value, and the generator returns
+    the value of `mask`.  `parent` is the set whose rule
     yielded `mask`, or None for the set `solve` was called on (a root); a
     rule may use it to carry work down from its parent.  `solve` keeps the
     suspended rules on a stack, answers a yielded set from the memo when it
@@ -433,14 +419,16 @@ class _Search:
                 masks.append(sub)
 
     def picks(self, mask: int) -> list[int]:
+        adj = self.adj
+        bucket = _degree_buckets(adj, mask)
         picks = []
         while mask:
             target = self.solve(mask)
-            for v in self._choices(mask):
-                rest = mask & ~((1 << v) | self.adj[v])
+            for v in _bits(self._choices(bucket, mask)):
+                rest = mask & ~((1 << v) | adj[v])
                 if 1 + self.solve(rest) == target:
                     picks.append(v)
-                    mask = rest
+                    mask = _take(adj, bucket, mask, v)
                     break
             else:  # pragma: no cover - solve() guarantees a best choice exists
                 raise AssertionError(f"{self.what}: reconstruction failed")
@@ -531,8 +519,8 @@ class _MisSolver(_Search):
         exclude = yield comp & ~twins
         return taken + max(include, exclude)
 
-    def _choices(self, mask: int) -> Iterable[int]:
-        return _bits(mask)
+    def _choices(self, bucket: Sequence[int], mask: int) -> int:
+        return mask
 
 
 class _GreedySolver(_Search):
@@ -630,8 +618,8 @@ class _GreedySolver(_Search):
                 bucket[old] |= low
         return best
 
-    def _choices(self, mask: int) -> list[int]:
-        return _min_degree_vertices(self.adj, mask)
+    def _choices(self, bucket: Sequence[int], mask: int) -> int:
+        return _lowest_bucket(bucket, mask)
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dodgreedy import batch as qb
 from dodgreedy import elections as el
-from dodgreedy import formats
 from dodgreedy import graphs as gr
 from dodgreedy.errors import BudgetExceededError, IntegrityError
 from dodgreedy.graphs import Graph
@@ -288,8 +287,8 @@ def test_mixed_batch_matches_direct_verdicts(data):
 
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
     queries = [pool[i] for i in picks]
-    # equal but separate payloads, as a parsed batch has them
-    copies = formats.parse_batch(formats.format_batch(qb.QueryBatch(tuple(queries)))).queries
+    # equal but separate payloads, as decoded JSON has them
+    copies = [qb.Query(q.kind, json.loads(json.dumps(q.payload))) for q in queries]
     queries += data.draw(st.lists(st.sampled_from(copies), max_size=20)) if copies else []
     queries = data.draw(st.permutations(queries))
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dodgreedy import cli, formats
+from dodgreedy import cli, elections, formats
 from dodgreedy.graphs import Graph
 from dodgreedy.selftest import CheckResult
 
@@ -67,6 +67,16 @@ class TestElectionVerbs:
         lines = out.splitlines()
         assert lines[0] == "condorcet = none"
         assert set(lines[1:]) == {"beats C D", "beats P C", "beats D P"}
+
+    def test_condorcet_tallies_once_for_the_beats_lines(self, capsys, monkeypatch, cycle_file):
+        # one tally for the winner and one for all the beats lines, not one per pair
+        tallies = []
+        tally = elections.pairwise_tally
+        monkeypatch.setattr(elections, "pairwise_tally", lambda e: tallies.append(e) or tally(e))
+        code, out, _ = run(capsys, "condorcet", "--election", cycle_file)
+        assert code == 0
+        assert out == "condorcet = none\nbeats C D\nbeats D P\nbeats P C\n"
+        assert len(tallies) == 2
 
     def test_score_with_budget(self, capsys, election_file):
         code, out, _ = run(capsys, "election-score", "--election", election_file,

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dodgreedy import batch as qb
 from dodgreedy import formats as fmt
 from dodgreedy import reductions as red
 from dodgreedy.errors import ParseError
@@ -282,47 +281,3 @@ class TestPartmapFormat:
         with pytest.raises(ParseError, match="n = 2"):
             fmt.parse_partmap(text)
 
-
-class TestBatchFormat:
-    def test_round_trip(self, four_voter, greedy_gap_graph):
-        batch = qb.QueryBatch(
-            (
-                qb.score_query(four_voter, 0, 2),
-                qb.independence_query(greedy_gap_graph, 3),
-                qb.greedy_query(greedy_gap_graph, 2),
-            )
-        )
-        text = fmt.format_batch(batch)
-        assert fmt.parse_batch(text) == batch
-        assert fmt.format_batch(fmt.parse_batch(text)) == text
-
-    def test_empty_batch(self):
-        assert fmt.format_batch(qb.QueryBatch(())) == ""
-        assert fmt.parse_batch("") == qb.QueryBatch(())
-
-    def test_bad_lines_rejected(self):
-        with pytest.raises(ParseError, match="line 1"):
-            fmt.parse_batch("x nope {}\n")
-        with pytest.raises(ParseError, match="payload"):
-            fmt.parse_batch('q alpha_geq {"n": \n')
-        with pytest.raises(ParseError, match="kind"):
-            fmt.parse_batch('q alpha_leq {"n": 1}\n')
-
-    def test_answers_round_trip(self):
-        av = qb.AnswerVector((True, False, None), (None, None, "KeyError: 'graph'"))
-        text = fmt.format_answers(av)
-        assert text.splitlines() == ["a 1", "a 0", "a ? KeyError: 'graph'"]
-        assert fmt.parse_answers(text) == av
-
-    def test_answers_reject_garbage(self):
-        with pytest.raises(ParseError):
-            fmt.parse_answers("a yes\n")
-
-    def test_evaluated_batch_serializes(self, greedy_gap_graph):
-        batch = qb.QueryBatch(
-            tuple(qb.independence_query(greedy_gap_graph, k) for k in (1, 3, 4))
-        )
-        av = qb.evaluate_batch(batch)
-        replayed = fmt.parse_answers(fmt.format_answers(av))
-        assert replayed == av
-        assert replayed.answers == (True, True, False)

@@ -338,7 +338,7 @@ class TestGreedyRun:
 
         _, trace = gr.min_degree_greedy(g, tie_break=pick)
         for candidates, v in zip(offered, trace.picks):
-            assert candidates == gr._min_degree_vertices(g._adj, mask)
+            assert candidates == min_degree_vertices(g, mask)
             mask &= ~((1 << v) | g._adj[v])
         assert len(offered) == len(trace) and mask == 0
 
@@ -564,6 +564,7 @@ class RescanGreedy(gr._Search):
 
     def __init__(self, g, budget):
         super().__init__(g, budget)
+        self.g = g
         self.mis = gr._MisSolver(g, budget)
 
     def _value(self, mask, parent):
@@ -574,7 +575,7 @@ class RescanGreedy(gr._Search):
             for c in comps:
                 total += yield c
             return total
-        first, *ties = gr._min_degree_vertices(adj, mask)
+        first, *ties = min_degree_vertices(self.g, mask)
         best = 1 + (yield mask & ~((1 << first) | adj[first]))
         if ties:
             bound = self.mis.cache.get(mask)
@@ -590,8 +591,8 @@ class RescanGreedy(gr._Search):
                     best = value
         return best
 
-    def _choices(self, mask):
-        return gr._min_degree_vertices(self.adj, mask)
+    def _choices(self, bucket, mask):
+        return bitmask(min_degree_vertices(self.g, mask))  # rescans; ignores the carried bucket
 
 
 def carried_degree_corpus():
@@ -630,6 +631,8 @@ def test_carried_degrees_store_the_rescan_states(after_alpha):
         assert carried.stored == rescan.stored, g
         assert carried.cache.keys() == rescan.cache.keys(), g
         assert carried.mis.cache.keys() == rescan.mis.cache.keys(), g
+        assert carried.picks(full) == rescan.picks(full), g
+        assert carried.stored == rescan.stored, g
 
 
 class TestGreedyReaches:
@@ -821,6 +824,16 @@ def bitmask(vertices):
     return sum(1 << v for v in vertices)
 
 
+def min_degree_vertices(g, mask):
+    """The vertices of `mask` with the fewest neighbours inside it, in
+    increasing order, found with plain sets: the rescan that the carried
+    degree buckets replace."""
+    inside = {v for v in range(g.n) if mask >> v & 1}
+    degree = {v: len(g.neighbors(v) & inside) for v in inside}
+    lowest = min(degree.values(), default=None)
+    return sorted(v for v in inside if degree[v] == lowest)
+
+
 @given(graph_strategy(max_n=10), st.integers(0, 2**10 - 1))
 @settings(deadline=None, max_examples=300)
 def test_bit_walk_helpers_match_set_versions(g, mask):
@@ -829,7 +842,6 @@ def test_bit_walk_helpers_match_set_versions(g, mask):
     assert gr._co_components(g._adj, mask) == [
         bitmask(c) for c in naive_components(g, mask, complement=True)
     ]
-    inside = [v for v in range(g.n) if mask >> v & 1]
-    degree = {v: sum(g.has_edge(v, w) for w in inside) for v in inside}
-    lowest = min(degree.values(), default=None)
-    assert gr._min_degree_vertices(g._adj, mask) == [v for v in inside if degree[v] == lowest]
+    if mask:
+        lowest = gr._lowest_bucket(gr._degree_buckets(g._adj, mask), mask)
+        assert lowest == bitmask(min_degree_vertices(g, mask))
