@@ -11,8 +11,11 @@ run.py's own default length, the same on both sides.  The file named by
 replaced): every run's metrics, answer counts and measured wall time, and
 per metric the median and quartiles of each side and the number of pairs
 the change won.  A metric whose parent runs spread too widely to tell a
-change of the metric's bound is marked `resolved: false`.  The file is
-rewritten after every pair, so a run that crashes loses only its own pair;
+change of the metric's bound is marked `resolved: false`.  `gain_shown`
+says whether the runs show a gain by the benchmark's rule: the change won
+at least nine tenths of the pairs, and its median is better than the
+parent's by more than the parent's spread between quartiles (q3 - q1).
+The file is rewritten after every pair, so a run that crashes loses only its own pair;
 the entry's `seeds` lists the pairs that finished.  A run that answered anything wrong or failed a request is still
 written, then named on stderr, and the script exits 1.
 """
@@ -65,12 +68,15 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won.
+    """Per metric: each side's median and quartiles, the pairs the change
+    won, and whether those show a gain.
 
     `resolved: false` marks a metric whose parent quartile spread,
     (q3 - q1) / median, is wider than its bound while not every change run
     beats every parent run: a difference the size of the bound could hide
-    in such a spread.
+    in such a spread.  `gain_shown` holds when the change won at least 9 in
+    10 of the pairs (ties win for neither side) and the medians differ, in
+    the change's favour, by more than the parent's q3 - q1.
     """
     out = {}
     for name, (direction, bound) in metrics.items():
@@ -92,6 +98,9 @@ def summarize(pairs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
             ),
         }
         parent = sides["parent"]
+        out[name]["gain_shown"] = 10 * wins >= 9 * len(pairs) and (
+            sign * (sides["change"]["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        )
         spread = (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else 0.0
         worst_change = min(sign * p["change"]["metrics"][name] for p in pairs)
         best_parent = max(sign * p["parent"]["metrics"][name] for p in pairs)

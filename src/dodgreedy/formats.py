@@ -54,13 +54,72 @@ def format_election(e: Election) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vertex(names: dict[str, tuple[int, int]], name: str, n: int) -> tuple[int, int]:
+    """Enter a vertex name in the memo as (vertex, its row bit). Only the
+    plain decimal of a number in 1..n is taken, as `format_graph` writes
+    it; any other name raises ValueError."""
+    v = int(name)
+    if str(v) != name or not 1 <= v <= n:
+        raise ValueError(name)
+    names[name] = entry = (v - 1, 1 << (v - 1))
+    return entry
+
+
+def _parse_written_graph(text: str) -> Graph | None:
+    """Read text in exactly the shape `format_graph` writes: `p <n> <m>`,
+    then m lines `e <u> <v>`, single spaces, plain decimal names in 1..n,
+    and a final newline. Returns None for any other text, and for a
+    repeated edge or a self-loop, so the line loop can report them."""
+    # the header first, so a text that opens with a comment is not split;
+    # with no newline at all, find gives -1 and the line count below fails
+    try:
+        p, n_name, m_name = text[: text.find("\n")].split(" ")
+        n, m = int(n_name), int(m_name)
+    except ValueError:
+        return None
+    if p != "p" or str(n) != n_name or str(m) != m_name or n < 0 or m < 0:
+        return None
+    lines = text.split("\n")
+    if len(lines) != m + 2 or lines[-1]:
+        return None
+    lines.pop()  # the empty string after the final newline
+    edge_lines = iter(lines)  # not a slice, which would copy the list
+    next(edge_lines)  # the header
+    rows = [0] * n
+    names: dict[str, tuple[int, int]] = {}  # only the names the text uses
+    known = names.get
+    try:
+        for line in edge_lines:
+            e, a, b = line.split(" ")
+            if e != "e":
+                return None
+            u, u_bit = known(a) or _vertex(names, a, n)
+            v, v_bit = known(b) or _vertex(names, b, n)
+            rows[u] |= v_bit
+            rows[v] |= u_bit
+    except ValueError:
+        return None
+    # a new edge sets two bits; a repeated edge sets none and a self-loop one
+    if sum(row.bit_count() for row in rows) != 2 * m:
+        return None
+    return Graph._from_rows(rows)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph format: header `p <n> <m>`, then `m` edge lines
     `e <u> <v>` with 1-based endpoints. `c` lines are comments.
 
-    Each edge is set straight into the adjacency rows, so a repeated edge
-    is one bit test and the parse is linear in the text.
+    Text in exactly the shape `format_graph` writes (single spaces, plain
+    decimal names, no comments or blank lines, a final newline) is read in
+    one pass that decodes each vertex name once. Any other text, and a
+    written-shape text with a repeated edge or a self-loop, is read by the
+    line loop below, which alone reports every error and warning, with its
+    line number. Each edge is set straight into the adjacency rows, so a
+    repeated edge is one bit test and both readers are linear in the text.
     """
+    g = _parse_written_graph(text)
+    if g is not None:
+        return g
     rows: list[int] | None = None
     n = m = edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):

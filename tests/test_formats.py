@@ -1,7 +1,7 @@
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dodgreedy import formats as fmt
@@ -223,6 +223,94 @@ def test_parse_graph_matches_reference_on_valid_edge_lists(n, data):
     graph, caught = parse_outcome(fmt.parse_graph, text)
     assert (graph, caught) == parse_outcome(reference_parse_graph, text)
     assert isinstance(graph, Graph) and len(caught) == len(edges) - graph.num_edges
+
+
+@st.composite
+def written_shape_texts(draw):
+    """Text laid out as `format_graph` writes it, one space between fields
+    and no comments: distinct edges in either order, then up to two faults
+    among names `int` reads but the writer never writes (`01`, `+2`, `1_0`,
+    `٣`, a trailing form feed or tab), names out of range, a self-loop and
+    a duplicate in either order; now and then a line with another first
+    field, a stray line, a wrong edge count or no final newline."""
+    n = draw(st.integers(1, 12))
+    pairs = [(str(u), str(v)) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=24, unique_by=frozenset)) if pairs else []
+    odd_name = st.one_of(
+        st.sampled_from(["01", "+2", "1_0", "٣", "0", str(n + 1)]),
+        st.builds("{}{}".format, st.integers(1, n), st.sampled_from(["\x0c", "\t"])),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["name", "loop", "duplicate"]))
+        if fault == "loop":
+            name = str(draw(st.integers(1, n)))
+            edges.insert(draw(st.integers(0, len(edges))), (name, name))
+        elif edges and fault == "duplicate":
+            u, v = draw(st.sampled_from(edges))
+            edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from([(u, v), (v, u)])))
+        elif edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            u, v = edges[i]
+            odd = draw(odd_name)
+            edges[i] = draw(st.sampled_from([(odd, v), (u, odd)]))
+    heads = ["e"] * len(edges)
+    if edges and draw(st.integers(0, 5)) == 0:
+        heads[draw(st.integers(0, len(edges) - 1))] = draw(st.sampled_from(["c", "E", "x", "ee", "p"]))
+    lines = [f"{head} {u} {v}" for head, (u, v) in zip(heads, edges)]
+    if draw(st.integers(0, 7)) == 0:
+        stray = draw(st.sampled_from(["", "e 1", "e 1 2 3", "p 1 0"]))
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    m = draw(st.sampled_from([len(lines)] * 4 + [len(lines) + 1, abs(len(lines) - 1)]))
+    end = draw(st.sampled_from(["\n", "\n", "\n", ""]))
+    return "\n".join([f"p {n} {m}", *lines]) + end
+
+
+@given(written_shape_texts())
+@example("p 3 1\ne 2\x0c 3\n")  # a form feed ends a line for `splitlines`
+@example("p 2 1\ne 1 3\n")
+@example("p 2 1\nc 1 2\n")
+@example("P 2 1\ne 1 2\n")
+@example("p 2 1\ne 1 2\ne 2 1")  # no final newline
+@settings(deadline=None, max_examples=400)
+def test_parse_graph_matches_reference_on_written_shape_texts(text):
+    assert parse_outcome(fmt.parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+
+class TestArtifactSizedText:
+    """An emitted artifact's text, read whole and with a fault on its last line."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self):
+        a = red.build_reduction(Graph(5, [(0, 1)]), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]))
+        assert a.n >= 18 and a.graph.num_edges > 5000
+        return a
+
+    @staticmethod
+    def with_last_line(artifact, line):
+        """The artifact's text with `line` appended and m + 1 in the header."""
+        g = artifact.graph
+        head, _, body = fmt.format_graph(g).partition("\n")
+        assert head == f"p {g.n} {g.num_edges}"
+        return f"p {g.n} {g.num_edges + 1}\n{body}{line}\n"
+
+    def test_round_trip(self, artifact):
+        assert fmt.parse_graph(fmt.format_graph(artifact.graph)) == artifact.graph
+
+    def test_late_duplicate_warns_like_the_reference(self, artifact):
+        u, v = max(artifact.graph.sorted_edges())
+        text = self.with_last_line(artifact, f"e {u + 1} {v + 1}")
+        graph, caught = parse_outcome(fmt.parse_graph, text)
+        assert graph == artifact.graph
+        m = artifact.graph.num_edges
+        assert caught == [f"UserWarning: line {m + 2}: duplicate edge {u + 1} {v + 1} collapsed"]
+        assert (graph, caught) == parse_outcome(reference_parse_graph, text)
+
+    def test_late_self_loop_fails_like_the_reference(self, artifact):
+        text = self.with_last_line(artifact, "e 1 1")
+        outcome = parse_outcome(fmt.parse_graph, text)
+        m = artifact.graph.num_edges
+        assert outcome == (f"ParseError: line {m + 2}: self-loop at vertex 1", [])
+        assert outcome == parse_outcome(reference_parse_graph, text)
 
 
 class TestPartmapFormat:
