@@ -23,7 +23,10 @@ graph at the least budget that fits, found by doubling and then bisecting
 (a witness that fits a budget fits every larger one): the script records
 that budget, the witness there and the `(what, budget)` error one below
 it.  At the default budget it also records `verify_reduction(g, h).lines()`
-on 20 random pairs of 1-4-vertex graphs.
+on 20 random pairs of 1-4-vertex graphs.  The text layer is covered too:
+for every corpus graph the script records the sha256 of `format_graph(g)`
+and whether `parse_graph` of that text gives g back, so a change that
+moves one byte of the written text, or reads it differently, shows up.
 
 Exits 0 and prints the number of budget points when the two record lists
 are equal; otherwise exits 1 and names the first difference.  Standard
@@ -33,6 +36,7 @@ library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -119,7 +123,7 @@ def _least_fit(attempt) -> tuple[list, int]:
 def collect(tree: Path) -> dict:
     """The records of one tree, computed with that tree's own modules."""
     sys.path.insert(0, str(tree / "src"))
-    from dodgreedy import graphs, reductions
+    from dodgreedy import formats, graphs, reductions
     from dodgreedy.errors import BudgetExceededError
 
     if not Path(graphs.__file__).resolve().is_relative_to(tree):
@@ -134,6 +138,9 @@ def collect(tree: Path) -> dict:
     )
     records, points = [], 0
     for name, g in _corpus(Graph, reductions):
+        text = formats.format_graph(g)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        records.append([name, "text", [digest, formats.parse_graph(text) == g]])
         for label, solve in sweeps:
             steps = []
             for budget in range(-1, MAX_BUDGET + 1):

@@ -69,7 +69,15 @@ def _parse_written_graph(text: str) -> Graph | None:
     """Read text in exactly the shape `format_graph` writes: `p <n> <m>`,
     then m lines `e <u> <v>`, single spaces, plain decimal names in 1..n,
     and a final newline. Returns None for any other text, and for a
-    repeated edge or a self-loop, so the line loop can report them."""
+    repeated edge or a self-loop, so the line loop can report them; it
+    never raises or warns.
+
+    The writer puts a row's run of consecutive neighbours on consecutive
+    lines, so after a line `e <a> <b>` the reader holds the line that
+    would extend the run, `e <a> <b+1>` with b + 1 spelled in plain
+    decimal (only while b + 1 <= n). A line equal to it is taken without
+    a split or a name lookup; when the run ends, row a gets the whole run
+    as one mask. Any other line is split and its names decoded."""
     # the header first, so a text that opens with a comment is not split;
     # with no newline at all, find gives -1 and the line count below fails
     try:
@@ -88,17 +96,29 @@ def _parse_written_graph(text: str) -> Graph | None:
     rows = [0] * n
     names: dict[str, tuple[int, int]] = {}  # only the names the text uses
     known = names.get
+    expect = None  # the line that extends the open run u -> first..last
+    u = u_bit = first = last = -1
     try:
         for line in edge_lines:
+            if line == expect:
+                last += 1
+                rows[last] |= u_bit
+                expect = prefix + str(last + 2) if last + 2 <= n else None
+                continue
+            if first >= 0:  # close the run
+                rows[u] |= (2 << last - first) - 1 << first
             e, a, b = line.split(" ")
             if e != "e":
                 return None
             u, u_bit = known(a) or _vertex(names, a, n)
-            v, v_bit = known(b) or _vertex(names, b, n)
-            rows[u] |= v_bit
-            rows[v] |= u_bit
+            first = last = (known(b) or _vertex(names, b, n))[0]
+            rows[first] |= u_bit
+            prefix = line[: -len(b)]
+            expect = prefix + str(first + 2) if first + 2 <= n else None
     except ValueError:
         return None
+    if first >= 0:  # close the last run
+        rows[u] |= (2 << last - first) - 1 << first
     # a new edge sets two bits; a repeated edge sets none and a self-loop one
     if sum(row.bit_count() for row in rows) != 2 * m:
         return None
@@ -111,11 +131,14 @@ def parse_graph(text: str) -> Graph:
 
     Text in exactly the shape `format_graph` writes (single spaces, plain
     decimal names, no comments or blank lines, a final newline) is read in
-    one pass that decodes each vertex name once. Any other text, and a
-    written-shape text with a repeated edge or a self-loop, is read by the
-    line loop below, which alone reports every error and warning, with its
-    line number. Each edge is set straight into the adjacency rows, so a
-    repeated edge is one bit test and both readers are linear in the text.
+    one pass that decodes each vertex name once; a line that extends the
+    line before it by one neighbour (`e <a> <b+1>` after `e <a> <b>`) is
+    matched whole against that prediction and not split. Any other text,
+    and a written-shape text with a repeated edge or a self-loop, is read
+    by the line loop below, which alone reports every error and warning,
+    with its line number. Each edge is set straight into the adjacency
+    rows, so a repeated edge is one bit test and both readers are linear
+    in the text.
     """
     g = _parse_written_graph(text)
     if g is not None:
@@ -172,7 +195,13 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    """The graph format, edges in sorted order, read off the adjacency rows."""
+    """The graph format, edges in sorted order, read off the adjacency rows.
+
+    Each row is walked one run of consecutive neighbours at a time: skip
+    to the lowest neighbour left, count the neighbours that follow it
+    without a gap, and write the run's lines `e <u> <v>` as one string.
+    The text is the same as one line per edge, at a fraction of the
+    string building on the complete joins that make up an artifact."""
     names = [str(v) for v in range(1, g.n + 1)]  # names[v] is vertex v's 1-based number
     lines = [f"p {g.n} {g.num_edges}"]
     for u, row in enumerate(g._adj):
@@ -183,9 +212,16 @@ def format_graph(g: Graph) -> str:
             while row:
                 step = (row & -row).bit_length()
                 v += step
-                row >>= step
-                lines.append(prefix + names[v])
-    return "\n".join(lines) + "\n"
+                row >>= step  # bit 0 is now vertex v + 1
+                if row & 1:
+                    run = (row ^ (row + 1)).bit_length()  # v and the ones that follow
+                    lines.append(prefix + ("\n" + prefix).join(names[v : v + run]))
+                    row >>= run
+                    v += run
+                else:
+                    lines.append(prefix + names[v])
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 def format_partmap(artifact: ReductionArtifact) -> str:

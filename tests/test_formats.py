@@ -164,6 +164,54 @@ def reference_parse_graph(text: str) -> Graph:
     return Graph(header[0], edges)
 
 
+def reference_format_graph(g: Graph) -> str:
+    """The per-edge writer `format_graph` replaced, kept as a referee."""
+    names = [str(v) for v in range(1, g.n + 1)]
+    lines = [f"p {g.n} {g.num_edges}"]
+    for u, row in enumerate(g._adj):
+        row >>= u + 1
+        if row:
+            prefix = f"e {names[u]} "
+            v = u
+            while row:
+                step = (row & -row).bit_length()
+                v += step
+                row >>= step
+                lines.append(prefix + names[v])
+    return "\n".join(lines) + "\n"
+
+
+def complete_join(sizes: list[int], gaps: list[int]) -> Graph:
+    """Consecutive parts of the given sizes, `gaps` isolated vertices
+    after each, every part joined completely to every later part."""
+    parts, top = [], 0
+    for size, gap in zip(sizes, gaps):
+        parts.append(range(top, top + size))
+        top += size + gap
+    return Graph(top, [(u, v) for i, a in enumerate(parts) for b in parts[i + 1 :] for u in a for v in b])
+
+
+WRITER_GRAPHS = {
+    "n=0": Graph.empty(0),
+    "n=1": Graph.empty(1),
+    "edgeless": Graph.empty(5),
+    "K2": Graph.complete(2),
+    "K13": Graph.complete(13),
+    "K3,4": complete_join([3, 4], [0, 0]),
+    "K5,1,6-gapped": complete_join([5, 1, 6], [2, 0, 1]),
+    "runs-end-at-n": Graph(9, [(u, v) for u in range(9) for v in range(max(u + 1, 5), 9)]),
+    "star-at-n": Graph(7, [(u, 6) for u in range(6)]),
+    "band": Graph(12, [(i, i + d) for d in (1, 2) for i in range(12 - d)]),
+}
+
+
+@pytest.mark.parametrize("g", WRITER_GRAPHS.values(), ids=WRITER_GRAPHS.keys())
+def test_format_graph_matches_per_edge_writer(g):
+    text = fmt.format_graph(g)
+    assert text == reference_format_graph(g)
+    assert fmt.parse_graph(text) == g
+
+
 BLANKS_AND_COMMENTS = ["", "   ", "\t", "c", "cfoo", "c e 1 2", "  c p 1 0", "ce 1 2"]
 BAD_HEADERS = ["p 3", "p", "p x 2", "p 2 y", "p -1 0", "p 2 -1", "p 1 2 3", "p 2.0 1"]
 BAD_LINES = [
@@ -276,6 +324,62 @@ def test_parse_graph_matches_reference_on_written_shape_texts(text):
     assert parse_outcome(fmt.parse_graph, text) == parse_outcome(reference_parse_graph, text)
 
 
+@st.composite
+def run_shaped_texts(draw):
+    """Text in the writer's shape whose rows are runs of 1-12 consecutive
+    names, as an artifact's joins are written, with up to two faults
+    inside or at the end of a run: a run through the row's own vertex
+    (`e 3 2`, `e 3 3`, `e 3 4`), a run past n (`e 1 <n>`, `e 1 <n+1>`),
+    the run's last line repeated, or a name with a leading zero mid-run
+    (`e 1 04`); now and then the runs out of order or a wrong edge count."""
+    n = draw(st.integers(1, 30))
+    runs = []
+    for u in range(1, n + 1):
+        v = u + 1
+        for _ in range(draw(st.integers(0, 3))):
+            start = v + draw(st.integers(0, 3))
+            stop = min(start + draw(st.integers(1, 12)), n + 1)
+            if start >= stop:
+                break
+            runs.append([(str(u), str(w)) for w in range(start, stop)])
+            v = stop + 1
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["own", "past", "repeat", "name"]))
+        if fault == "own":
+            u = draw(st.integers(1, n))
+            run = [(str(u), str(w)) for w in range(max(1, u - 1), min(n, u + 1) + 1)]
+            runs.insert(draw(st.integers(0, len(runs))), run)
+        elif fault == "past":
+            u = draw(st.integers(1, n))
+            run = [(str(u), str(w)) for w in range(draw(st.integers(max(1, n - 2), n)), n + 2)]
+            runs.insert(draw(st.integers(0, len(runs))), run)
+        elif runs and fault == "repeat":
+            run = draw(st.sampled_from(runs))
+            run.append(run[-1])
+        elif fault == "name":
+            long_runs = [run for run in runs if len(run) > 1]
+            if long_runs:
+                run = draw(st.sampled_from(long_runs))
+                i = draw(st.integers(1, len(run) - 1))
+                run[i] = (run[i][0], "0" + run[i][1])
+    if draw(st.integers(0, 5)) == 0:
+        runs = draw(st.permutations(runs))
+    lines = [f"e {u} {v}" for run in runs for u, v in run]
+    m = draw(st.sampled_from([len(lines)] * 4 + [len(lines) + 1, abs(len(lines) - 1)]))
+    return "\n".join([f"p {n} {m}", *lines]) + "\n"
+
+
+@given(run_shaped_texts())
+@example("p 4 3\ne 3 2\ne 3 3\ne 3 4\n")  # a run through its own row's vertex
+@example("p 4 2\ne 1 4\ne 1 5\n")  # a run past n, from a split line
+@example("p 4 3\ne 1 3\ne 1 4\ne 1 5\n")  # a run past n, from a predicted line
+@example("p 4 3\ne 1 2\ne 1 3\ne 1 3\n")  # the run's last line repeated
+@example("p 5 3\ne 1 3\ne 1 04\ne 1 5\n")  # a leading zero mid-run
+@settings(deadline=None, max_examples=400)
+def test_parse_graph_matches_reference_on_run_shaped_texts(text):
+    assert parse_outcome(fmt.parse_graph, text) == parse_outcome(reference_parse_graph, text)
+
+
 class TestArtifactSizedText:
     """An emitted artifact's text, read whole and with a fault on its last line."""
 
@@ -295,6 +399,9 @@ class TestArtifactSizedText:
 
     def test_round_trip(self, artifact):
         assert fmt.parse_graph(fmt.format_graph(artifact.graph)) == artifact.graph
+
+    def test_written_like_the_per_edge_writer(self, artifact):
+        assert fmt.format_graph(artifact.graph) == reference_format_graph(artifact.graph)
 
     def test_late_duplicate_warns_like_the_reference(self, artifact):
         u, v = max(artifact.graph.sorted_edges())
