@@ -27,6 +27,12 @@ on 20 random pairs of 1-4-vertex graphs.  The text layer is covered too:
 for every corpus graph the script records the sha256 of `format_graph(g)`
 and whether `parse_graph` of that text gives g back, so a change that
 moves one byte of the written text, or reads it differently, shows up.
+It also records what `parse_graph` makes of four texts derived from the
+written one: with CRLF line endings, with a `c` comment after the header,
+with the last edge repeated, and with a copy of one edge from the middle
+of a run of consecutive neighbours put before the first edge (the two
+repeats raise m in the header).  Each outcome is the adjacency rows or
+the `ParseError` text, with the warning messages in order.
 
 Exits 0 and prints the number of budget points when the two record lists
 are equal; otherwise exits 1 and names the first difference.  Standard
@@ -42,6 +48,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +99,36 @@ def _outcome(call, BudgetExceededError):
     return True, ["value", value if isinstance(value, (bool, int)) else list(value)]
 
 
+def _faulted_texts(text: str, g) -> list[tuple[str, str]]:
+    """Texts derived from `format_graph(g)`'s text, labelled; the repeats
+    only where the text has an edge, or a line in the middle of a run."""
+    head, _, body = text.partition("\n")
+    texts = [("crlf", text.replace("\n", "\r\n")), ("comment", f"{head}\nc a comment\n{body}")]
+    edges = body.splitlines()
+    bumped = f"p {g.n} {g.num_edges + 1}"
+    if edges:
+        texts.append(("repeat-last", f"{bumped}\n{body}{edges[-1]}\n"))
+    fields = [line.split() for line in edges]
+    in_runs = [  # lines `e u v+1` right after `e u v`
+        line for line, (_, u, v), (_, pu, pv) in zip(edges[1:], fields[1:], fields)
+        if u == pu and int(v) == int(pv) + 1
+    ]
+    if in_runs:
+        texts.append(("mid-run-repeat", f"{bumped}\n{in_runs[len(in_runs) // 2]}\n{body}"))
+    return texts
+
+
+def _parse_outcome(parse, ParseError, text: str) -> list:
+    """`parse(text)`'s rows or ParseError text, and its warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = list(parse(text)._adj)
+        except ParseError as exc:
+            result = f"ParseError: {exc}"
+    return [result, [str(w.message) for w in caught]]
+
+
 def _least_fit(attempt) -> tuple[list, int]:
     """The least budget from -1 up at which `attempt(budget)` fits, by
     doubling and then bisecting, as `[budget, outcome one below (or None),
@@ -124,7 +161,7 @@ def collect(tree: Path) -> dict:
     """The records of one tree, computed with that tree's own modules."""
     sys.path.insert(0, str(tree / "src"))
     from dodgreedy import formats, graphs, reductions
-    from dodgreedy.errors import BudgetExceededError
+    from dodgreedy.errors import BudgetExceededError, ParseError
 
     if not Path(graphs.__file__).resolve().is_relative_to(tree):
         sys.exit(f"imported {graphs.__file__}, not the tree's own module")
@@ -141,6 +178,8 @@ def collect(tree: Path) -> dict:
         text = formats.format_graph(g)
         digest = hashlib.sha256(text.encode()).hexdigest()
         records.append([name, "text", [digest, formats.parse_graph(text) == g]])
+        for label, faulted in _faulted_texts(text, g):
+            records.append([name, label, _parse_outcome(formats.parse_graph, ParseError, faulted)])
         for label, solve in sweeps:
             steps = []
             for budget in range(-1, MAX_BUDGET + 1):

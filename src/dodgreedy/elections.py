@@ -49,8 +49,9 @@ class Election:
         names = [c.name for c in self.candidates]
         if len(set(names)) != len(names):
             raise ValueError("candidate names must be unique")
-        if any(not name or any(ch.isspace() for ch in name) for name in names):
-            raise ValueError("candidate names must be nonempty and whitespace-free")
+        # whitespace separates names in the text format, and `#` starts a comment
+        if any(not name or "#" in name or any(ch.isspace() for ch in name) for name in names):
+            raise ValueError("candidate names must be nonempty, without whitespace or `#`")
         full = frozenset(ids)
         for i, voter in enumerate(self.voters):
             if len(voter.ranking) != len(full) or set(voter.ranking) != full:

@@ -54,98 +54,47 @@ def format_election(e: Election) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _vertex(names: dict[str, tuple[int, int]], name: str, n: int) -> tuple[int, int]:
-    """Enter a vertex name in the memo as (vertex, its row bit). Only the
-    plain decimal of a number in 1..n is taken, as `format_graph` writes
-    it; any other name raises ValueError."""
-    v = int(name)
-    if str(v) != name or not 1 <= v <= n:
-        raise ValueError(name)
-    names[name] = entry = (v - 1, 1 << (v - 1))
-    return entry
-
-
-def _parse_written_graph(text: str) -> Graph | None:
-    """Read text in exactly the shape `format_graph` writes: `p <n> <m>`,
-    then m lines `e <u> <v>`, single spaces, plain decimal names in 1..n,
-    and a final newline. Returns None for any other text, and for a
-    repeated edge or a self-loop, so the line loop can report them; it
-    never raises or warns.
-
-    The writer puts a row's run of consecutive neighbours on consecutive
-    lines, so after a line `e <a> <b>` the reader holds the line that
-    would extend the run, `e <a> <b+1>` with b + 1 spelled in plain
-    decimal (only while b + 1 <= n). A line equal to it is taken without
-    a split or a name lookup; when the run ends, row a gets the whole run
-    as one mask. Any other line is split and its names decoded."""
-    # the header first, so a text that opens with a comment is not split;
-    # with no newline at all, find gives -1 and the line count below fails
-    try:
-        p, n_name, m_name = text[: text.find("\n")].split(" ")
-        n, m = int(n_name), int(m_name)
-    except ValueError:
-        return None
-    if p != "p" or str(n) != n_name or str(m) != m_name or n < 0 or m < 0:
-        return None
-    lines = text.split("\n")
-    if len(lines) != m + 2 or lines[-1]:
-        return None
-    lines.pop()  # the empty string after the final newline
-    edge_lines = iter(lines)  # not a slice, which would copy the list
-    next(edge_lines)  # the header
-    rows = [0] * n
-    names: dict[str, tuple[int, int]] = {}  # only the names the text uses
-    known = names.get
-    expect = None  # the line that extends the open run u -> first..last
-    u = u_bit = first = last = -1
-    try:
-        for line in edge_lines:
-            if line == expect:
-                last += 1
-                rows[last] |= u_bit
-                expect = prefix + str(last + 2) if last + 2 <= n else None
-                continue
-            if first >= 0:  # close the run
-                rows[u] |= (2 << last - first) - 1 << first
-            e, a, b = line.split(" ")
-            if e != "e":
-                return None
-            u, u_bit = known(a) or _vertex(names, a, n)
-            first = last = (known(b) or _vertex(names, b, n))[0]
-            rows[first] |= u_bit
-            prefix = line[: -len(b)]
-            expect = prefix + str(first + 2) if first + 2 <= n else None
-    except ValueError:
-        return None
-    if first >= 0:  # close the last run
-        rows[u] |= (2 << last - first) - 1 << first
-    # a new edge sets two bits; a repeated edge sets none and a self-loop one
-    if sum(row.bit_count() for row in rows) != 2 * m:
-        return None
-    return Graph._from_rows(rows)
-
-
 def parse_graph(text: str) -> Graph:
     """Parse the graph format: header `p <n> <m>`, then `m` edge lines
     `e <u> <v>` with 1-based endpoints. `c` lines are comments.
 
-    Text in exactly the shape `format_graph` writes (single spaces, plain
-    decimal names, no comments or blank lines, a final newline) is read in
-    one pass that decodes each vertex name once; a line that extends the
-    line before it by one neighbour (`e <a> <b+1>` after `e <a> <b>`) is
-    matched whole against that prediction and not split. Any other text,
-    and a written-shape text with a repeated edge or a self-loop, is read
-    by the line loop below, which alone reports every error and warning,
-    with its line number. Each edge is set straight into the adjacency
-    rows, so a repeated edge is one bit test and both readers are linear
-    in the text.
+    Each edge is set straight into the adjacency rows, so a repeated edge
+    is one bit test and the read is linear in the text. `format_graph`
+    puts a row's run of consecutive neighbours on consecutive lines, so
+    after an edge line `e <a> <b>` that ends in its last field the loop
+    holds the line that would extend the run, the same text with b + 1
+    in place of b (only while b + 1 is at most n and is not a itself). A
+    line equal to it is taken whole, with no split, and only the new
+    neighbour's row is set; row a gets the run's bits at once when the
+    run ends, with a warning for each edge of it an earlier line gave.
+    Every other line is split and checked here. Lines are counted as they
+    are read, and a run's lines when it ends.
     """
-    g = _parse_written_graph(text)
-    if g is not None:
-        return g
     rows: list[int] | None = None
-    n = m = edge_lines = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    n = m = edge_lines = lineno = 0
+    expect = None  # the line that extends the open run a -> first..last
+    first = last = 0  # a run is open while last > first
+    lines = text.splitlines()
+    lines.append("")  # a blank last line ends a run that reaches the end
+    for raw in lines:
+        if raw == expect:
+            last += 1
+            rows[last] |= a_bit
+            expect = prefix + str(last + 2) if last + 2 <= stop else None
+            continue
+        if last > first:  # end the run: row a gets neighbours first+1..last
+            run = (2 << last) - (2 << first)
+            known = rows[a] & run
+            rows[a] |= run
+            edge_lines += last - first
+            lineno += last - first
+            while known:
+                v = (known & -known).bit_length() - 1
+                known ^= 1 << v
+                warnings.warn(f"line {lineno - last + v}: duplicate edge {a + 1} {v + 1} collapsed")
+            first = last
+        lineno += 1
+        expect = None
         fields = raw.split()
         if not fields:
             continue
@@ -164,13 +113,19 @@ def parse_graph(text: str) -> Graph:
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u}")
             edge_lines += 1
-            bit = 1 << (v - 1)
-            row = rows[u - 1]
+            a, first = u - 1, v - 1  # the row and first neighbour of a run this line may open
+            last = first
+            a_bit, bit = 1 << a, 1 << first
+            row = rows[a]
             if row & bit:
                 warnings.warn(f"line {lineno}: duplicate edge {u} {v} collapsed")
             else:
-                rows[u - 1] = row | bit
-                rows[v - 1] |= 1 << (u - 1)
+                rows[a] = row | bit
+                rows[first] |= a_bit
+            stop = a if v < u else n  # the run's names stay below u and at most n
+            if v < stop and raw.endswith(fields[2]):
+                prefix = raw[: -len(fields[2])]
+                expect = prefix + str(v + 1)
         elif head[0] == "c":  # a comment: the line's first field starts with `c`
             continue
         elif head == "p":

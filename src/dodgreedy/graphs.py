@@ -563,7 +563,8 @@ class _GreedySolver(_Search):
     `bucket` for its set, so a solver that raised BudgetExceededError
     midway, with some rules' moves never undone, solves correctly again.
     A clique scores 1 at once: any pick takes all of it.  Only the clique
-    cover still walks the whole set.
+    cover, and `_is_triangle_free` where a probe is weighed, still walk
+    the whole set.
     """
 
     what = "best greedy value"

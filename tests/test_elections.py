@@ -40,6 +40,11 @@ class TestValidation:
                 (PreferenceOrder((0, 1)),),
             )
 
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a#b", "#"])
+    def test_rejects_names_the_text_format_cannot_hold(self, name):
+        with pytest.raises(ValueError, match="without whitespace or `#`"):
+            Election.from_names([name, "c"], [[name, "c"]])
+
     def test_rejects_unknown_name(self):
         with pytest.raises(ValueError):
             Election.from_names(["A", "B"], [["A", "X"]])

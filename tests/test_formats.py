@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dodgreedy import formats as fmt
 from dodgreedy import reductions as red
+from dodgreedy.elections import Election
 from dodgreedy.errors import ParseError
 from dodgreedy.graphs import Graph
 
@@ -36,6 +37,10 @@ class TestElectionFormat:
         text = fmt.format_election(e)
         assert fmt.parse_election(text) == e
         assert fmt.format_election(fmt.parse_election(text)) == text
+
+    def test_round_trip_of_punctuated_names(self):
+        e = Election.from_names(["a-b", "c.d", "e'f", "g!"], [["g!", "a-b", "e'f", "c.d"]])
+        assert fmt.parse_election(fmt.format_election(e)) == e
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="candidate line"):
@@ -375,6 +380,13 @@ def run_shaped_texts(draw):
 @example("p 4 3\ne 1 3\ne 1 4\ne 1 5\n")  # a run past n, from a predicted line
 @example("p 4 3\ne 1 2\ne 1 3\ne 1 3\n")  # the run's last line repeated
 @example("p 5 3\ne 1 3\ne 1 04\ne 1 5\n")  # a leading zero mid-run
+@example("p 4 4\ne 1 3\ne 1 2\ne 1 3\ne 1 4\n")  # a repeat that is the predicted line
+@example("p 5 5\r\ne 1 4\r\ne 1 2\r\ne 1 3\r\ne 1 4\r\ne 1 5\r\n")  # CRLF line endings
+@example("p 5 5\ne 1 4\ne 1 2\nc x\ne 1 3\ne 1 4\n\ne 1 5\n")  # a comment and a blank in a run
+@example("p 23 2\ne 1 2 \ne 1 23\n")  # an opening line with a trailing blank
+@example("p 5 4\ne 5 2\ne 1 2 \ne 5 3\ne 5 4\ne 5 5\n")  # a run held over a line that opens none
+@example("p 4 4\ne  1  3\ne  1  2\ne  1  3\ne 1 4\n")  # double spaces
+@example("p 4 4\ne 1 3\ne 1 2\ne 1 3\ne 1 4")  # a run at the end, no final newline
 @settings(deadline=None, max_examples=400)
 def test_parse_graph_matches_reference_on_run_shaped_texts(text):
     assert parse_outcome(fmt.parse_graph, text) == parse_outcome(reference_parse_graph, text)
