@@ -15,15 +15,18 @@ Each tree is run in a process of its own that imports only that tree's
   whose picks split the rest into pieces.
 
 On every corpus graph, `independence_number`, `greedy_independence_number`,
-`_alpha_and_greedy`, `achieves_ratio` at r = 1 and `misses_ratio` at
-r = 3/2 are run at every budget from -1 up to the first one that fits, and
-each value or `(what, budget)` error is recorded.  The witnesses
+`_alpha_and_greedy`, `achieves_ratio` at r = 1, `misses_ratio` at r = 3/2
+and the one-batch `ratio_pipeline` at r = 3/2 are run at every budget from
+-1 up to the first one that fits, and each value or `(what, budget)` error
+is recorded.  The witnesses
 `best_greedy_trace` and `max_independent_set` are checked on every corpus
 graph at the least budget that fits, found by doubling and then bisecting
 (a witness that fits a budget fits every larger one): the script records
 that budget, the witness there and the `(what, budget)` error one below
 it.  At the default budget it also records `verify_reduction(g, h).lines()`
-on 20 random pairs of 1-4-vertex graphs.  The text layer is covered too:
+on 20 random pairs of 1-4-vertex graphs, and the one-batch
+`carroll_winner_pipeline` verdict for every candidate of 60 random
+elections with 3-4 candidates and 3-5 voters.  The text layer is covered too:
 for every corpus graph the script records the sha256 of `format_graph(g)`
 and whether `parse_graph` of that text gives g back, so a change that
 moves one byte of the written text, or reads it differently, shows up.
@@ -160,7 +163,7 @@ def _least_fit(attempt) -> tuple[list, int]:
 def collect(tree: Path) -> dict:
     """The records of one tree, computed with that tree's own modules."""
     sys.path.insert(0, str(tree / "src"))
-    from dodgreedy import formats, graphs, reductions
+    from dodgreedy import batch, elections, formats, graphs, reductions
     from dodgreedy.errors import BudgetExceededError, ParseError
 
     if not Path(graphs.__file__).resolve().is_relative_to(tree):
@@ -172,6 +175,7 @@ def collect(tree: Path) -> dict:
         ("pair", graphs._alpha_and_greedy),
         ("achieves-1", lambda g, b: graphs.achieves_ratio(g, 1, b)),
         ("misses-3/2", lambda g, b: graphs.misses_ratio(g, Fraction(3, 2), b)),
+        ("pipeline-3/2", lambda g, b: batch.ratio_pipeline(g, Fraction(3, 2), b)),
     )
     records, points = [], 0
     for name, g in _corpus(Graph, reductions):
@@ -201,6 +205,17 @@ def collect(tree: Path) -> dict:
         g, h = (Graph(n, _random_edges(rng, n, 0.5)) for n in (rng.randint(1, 4), rng.randint(1, 4)))
         report = _outcome(lambda: reductions.verify_reduction(g, h).lines(), BudgetExceededError)
         records.append([f"pair{i}", "verify", report[1]])
+    for i in range(60):
+        m, n = rng.randint(3, 4), rng.randint(3, 5)
+        e = elections.Election(
+            tuple(elections.Candidate(c, f"c{c}") for c in range(m)),
+            tuple(elections.PreferenceOrder(tuple(rng.sample(range(m), m))) for _ in range(n)),
+        )
+        verdicts = [
+            _outcome(lambda: batch.carroll_winner_pipeline(e, c), BudgetExceededError)[1]
+            for c in range(m)
+        ]
+        records.append([f"election{i}", "winner-pipeline", verdicts])
     return {"points": points, "records": records}
 
 

@@ -5,10 +5,11 @@ driver writes down every question it will ever need, has them all answered
 in a single round, and then post-processes the answer vector.  No query may
 depend on another query's answer; each pipeline issues exactly one batch.
 
-Within a round the evaluator decodes each payload object once, groups the
-queries by (solver, instance), solves each group once, and reads every
-threshold off that exact value, so asking about one instance at many
-thresholds costs one solve.
+Each query carries its own `Graph` or `Election`.  Within a round the
+evaluator groups the queries by (solver, instance), solves each group once,
+and reads every threshold off that exact value, so asking about one instance
+at many thresholds costs one solve.  Instances are immutable and compare by
+value, so equal but separate instances share one solve.
 """
 
 from __future__ import annotations
@@ -21,18 +22,28 @@ from .elections import Election
 from .errors import IntegrityError
 from .graphs import DEFAULT_BUDGET, Graph, Ratio
 
-QUERY_KINDS = ("score_at_most", "alpha_geq", "mdg_geq")
+QUERY_KINDS = {"score_at_most": Election, "alpha_geq": Graph, "mdg_geq": Graph}
 
 @dataclass(frozen=True)
 class Query:
-    """One yes/no question: an instance as a plain payload dict plus a threshold."""
+    """One yes/no question about an instance at threshold k.
+
+    `score_at_most` asks about a candidate of an `Election`; `alpha_geq` and
+    `mdg_geq` ask about a `Graph`.
+    """
 
     kind: str
-    payload: dict
+    instance: Graph | Election
+    k: int
+    candidate: int | None = None
 
     def __post_init__(self):
         if self.kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {self.kind!r}")
+        want = QUERY_KINDS[self.kind]
+        if not isinstance(self.instance, want):
+            got = type(self.instance).__name__
+            raise TypeError(f"{self.kind} query: instance must be {want.__name__}, not {got}")
 
 
 @dataclass(frozen=True)
@@ -55,64 +66,36 @@ class AnswerVector:
             raise ValueError("answers and errors must align")
 
 
-def election_payload(e: Election) -> dict:
-    return {
-        "candidates": [c.name for c in e.candidates],
-        "rankings": [list(v.ranking) for v in e.voters],
-    }
-
-
-def graph_payload(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
-
-
 def score_query(e: Election, candidate: int, k: int) -> Query:
-    return Query("score_at_most", {"election": election_payload(e), "candidate": candidate, "k": k})
+    return Query("score_at_most", e, k, candidate)
 
 
 def independence_query(g: Graph, k: int) -> Query:
-    return Query("alpha_geq", {"graph": graph_payload(g), "k": k})
+    return Query("alpha_geq", g, k)
 
 
 def greedy_query(g: Graph, s: int) -> Query:
-    return Query("mdg_geq", {"graph": graph_payload(g), "s": s})
+    return Query("mdg_geq", g, s)
 
 
-def _election_from_payload(payload: dict) -> Election:
-    names, rankings = payload["candidates"], payload["rankings"]
-    return Election._from_ids(map(str, names), ([int(c) for c in r] for r in rankings))
-
-
-def _graph_from_payload(payload: dict) -> Graph:
-    return Graph(int(payload["n"]), [(int(u), int(v)) for u, v in payload["edges"]])
-
-
-# payload faults reported per query; anything else (an exhausted budget)
-# aborts the batch
-_MALFORMED = (KeyError, TypeError, ValueError, IndexError)
-
-
-def _plan(query: Query, decode) -> tuple[tuple | None, Callable[[object], bool]]:
+def _plan(query: Query) -> tuple[tuple | None, Callable[[object], bool]]:
     """The solve a query needs, as (solver, *instance) or None, and its test.
 
-    The test turns the solved value into the query's answer.
+    The test turns the solved value into the query's answer.  A bad
+    threshold or candidate raises here, before any solve.
     """
-    p = query.payload
+    k = int(query.k)
     if query.kind == "score_at_most":
-        e = decode(p["election"], _election_from_payload)
-        candidate = int(p["candidate"])
+        e, candidate = query.instance, int(query.candidate)
         if not 0 <= candidate < e.num_candidates:
             raise ValueError(f"candidate {candidate} out of range")
-        k = int(p["k"])
         return (elections.carroll_score, e, candidate), lambda cert: cert.score <= k
-    g = decode(p["graph"], _graph_from_payload)
+    g = query.instance
     if query.kind == "alpha_geq":
-        k = int(p["k"])
         return (graphs.independence_number, g), lambda alpha: alpha >= k
-    s = int(p["s"])
-    if s <= 0 or s > g.n:  # no greedy run collects more than n picks
-        return None, lambda _: s <= 0
-    return (graphs.greedy_independence_number, g), lambda greedy: greedy >= s
+    if k <= 0 or k > g.n:  # no greedy run collects more than n picks
+        return None, lambda _: k <= 0
+    return (graphs.greedy_independence_number, g), lambda greedy: greedy >= k
 
 
 def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVector:
@@ -120,31 +103,22 @@ def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVec
 
     Each distinct (solver, instance) pair is solved once, when a query first
     needs it, and every later query on it reads its answer off that value.  A
-    malformed payload yields a per-query error entry rather than aborting
-    the batch.  Resource-limit errors propagate: an exhausted budget is a
-    failed computation, not a malformed question.
+    bad threshold or candidate yields a per-query error entry rather than
+    aborting the batch.  Resource-limit errors propagate: an exhausted
+    budget is a failed computation, not a malformed question.
     """
-    decoded: dict[tuple[int, Callable], tuple[object, object]] = {}
-
-    def decode(obj, build):
-        # keyed by identity; holding obj keeps its id from being reused
-        key = (id(obj), build)
-        if key not in decoded:
-            decoded[key] = (obj, build(obj))
-        return decoded[key][1]
-
     values: dict[tuple | None, object] = {None: None}
     answers: list[bool | None] = []
     errors: list[str | None] = []
     for query in batch.queries:
         try:
-            key, test = _plan(query, decode)
+            key, test = _plan(query)
             if key not in values:
                 solver, *instance = key
                 values[key] = solver(*instance, budget)
             answers.append(test(values[key]))
             errors.append(None)
-        except _MALFORMED as exc:
+        except (TypeError, ValueError) as exc:
             answers.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
     return AnswerVector(tuple(answers), tuple(errors))
@@ -189,7 +163,7 @@ def _strict_answers(av: AnswerVector, context: str) -> list[bool]:
     return [bool(a) for a in av.answers]
 
 
-def carroll_winner_pipeline(e: Election, candidate: int) -> bool:
+def carroll_winner_pipeline(e: Election, candidate: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Decide Carroll victory via one batch of score-threshold queries.
 
     Builds all m * (K + 1) questions up front (K is the trivial score cap),
@@ -201,13 +175,8 @@ def carroll_winner_pipeline(e: Election, candidate: int) -> bool:
         raise ValueError(f"no candidate with id {candidate}")
     cap = elections.max_score(e)
     width = cap + 1
-    payload = election_payload(e)  # one shared payload: decoded once, solved once per c
-    queries = [
-        Query("score_at_most", {"election": payload, "candidate": c, "k": k})
-        for c in range(e.num_candidates)
-        for k in range(width)
-    ]
-    av = evaluate_batch(QueryBatch(tuple(queries)))
+    queries = [score_query(e, c, k) for c in range(e.num_candidates) for k in range(width)]
+    av = evaluate_batch(QueryBatch(tuple(queries)), budget)
     answers = _strict_answers(av, "carroll_winner_pipeline")
     rows = [answers[c * width : (c + 1) * width] for c in range(e.num_candidates)]
     scores = scores_from_answers(rows)
@@ -224,9 +193,8 @@ def ratio_pipeline(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     """
     r = graphs._check_ratio(r)
     n = g.n
-    payload = graph_payload(g)  # one shared payload: decoded once, solved once per solver
-    queries = [Query("alpha_geq", {"graph": payload, "k": k}) for k in range(1, n + 1)]
-    queries += [Query("mdg_geq", {"graph": payload, "s": s}) for s in range(1, n + 1)]
+    queries = [independence_query(g, k) for k in range(1, n + 1)]
+    queries += [greedy_query(g, s) for s in range(1, n + 1)]
     answers = _strict_answers(evaluate_batch(QueryBatch(tuple(queries)), budget), "ratio_pipeline")
     # a "value >= k" row turns false at index value, so its complement turns true there
     alpha, greedy = (

@@ -717,6 +717,9 @@ def _alpha_and_greedy(g: Graph, budget: int) -> tuple[int, int]:
 
 
 def _check_ratio(r: Ratio) -> Fraction:
+    # a float is not exact: Fraction(1.2) lies just below 6/5
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"approximation factor must be an int or a Fraction, got {r!r}")
     r = Fraction(r)
     if r < 1:
         raise ValueError(f"approximation factor must be >= 1, got {r}")

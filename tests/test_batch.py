@@ -1,5 +1,5 @@
 import collections
-import json
+import dataclasses
 import random
 
 import pytest
@@ -29,7 +29,7 @@ def count_batches(monkeypatch) -> list:
 class TestQueries:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            qb.Query("alpha_leq", {})
+            qb.Query("alpha_leq", Graph(1), 1)
 
     def test_empty_batch(self):
         av = qb.evaluate_batch(qb.QueryBatch(()))
@@ -55,14 +55,13 @@ class TestQueries:
         )
         assert av.answers == (True, False)
 
-    def test_malformed_payload_is_per_query(self):
-        good = qb.independence_query(Graph.complete(3), 1)
-        bad = qb.Query("alpha_geq", {"graph": {"n": 2}, "k": 1})
-        worse = qb.Query("score_at_most", {"election": {"candidates": []}, "k": 0})
-        av = qb.evaluate_batch(qb.QueryBatch((bad, good, worse)))
-        assert av.answers == (None, True, None)
-        assert av.errors[0] and av.errors[2]
-        assert av.errors[1] is None
+    def test_mismatched_instance_rejected_when_built(self, four_voter):
+        with pytest.raises(TypeError, match="alpha_geq query: instance must be Graph, not Election"):
+            qb.Query("alpha_geq", four_voter, 1)
+        with pytest.raises(TypeError, match="mdg_geq query: instance must be Graph, not dict"):
+            qb.Query("mdg_geq", {"n": 2, "edges": []}, 1)
+        with pytest.raises(TypeError, match="score_at_most query: instance must be Election, not Graph"):
+            qb.Query("score_at_most", Graph.complete(3), 0, 0)
 
     def test_score_budget_is_honoured(self, four_voter):
         query = qb.score_query(four_voter, four_voter.id_of("C"), 3)
@@ -70,20 +69,19 @@ class TestQueries:
             qb.evaluate_batch(qb.QueryBatch((query,)), budget=1)
 
     def test_candidate_out_of_range_is_malformed(self, four_voter):
-        query = qb.score_query(four_voter, 0, 0)
-        hacked = qb.Query(query.kind, {**query.payload, "candidate": 9})
-        av = qb.evaluate_batch(qb.QueryBatch((hacked,)))
-        assert av.answers == (None,)
+        queries = (qb.score_query(four_voter, 9, 0), qb.score_query(four_voter, -1, 0))
+        av = qb.evaluate_batch(qb.QueryBatch(queries))
+        assert av.answers == (None, None)
+        assert av.errors == ("ValueError: candidate 9 out of range", "ValueError: candidate -1 out of range")
 
     def test_bad_threshold_is_reported_before_the_solve(self, four_voter):
         # at budget 0 every solve runs out, so a threshold read after its
         # solve would abort the whole batch instead of failing one query
-        graph = qb.graph_payload(Graph.cycle(7))
-        election = qb.election_payload(four_voter)
+        graph = Graph.cycle(7)
         queries = (
-            qb.Query("alpha_geq", {"graph": graph, "k": "x"}),
-            qb.Query("mdg_geq", {"graph": graph, "s": "x"}),
-            qb.Query("score_at_most", {"election": election, "candidate": 0, "k": "x"}),
+            qb.independence_query(graph, "x"),
+            qb.greedy_query(graph, "x"),
+            qb.score_query(four_voter, 0, "x"),
         )
         av = qb.evaluate_batch(qb.QueryBatch(queries), budget=0)
         assert av.answers == (None, None, None)
@@ -161,6 +159,10 @@ class TestWinnerPipeline:
         with pytest.raises(ValueError):
             qb.carroll_winner_pipeline(four_voter, 5)
 
+    def test_budget_is_honoured(self, four_voter):
+        with pytest.raises(BudgetExceededError):
+            qb.carroll_winner_pipeline(four_voter, four_voter.id_of("C"), budget=1)
+
 
 class TestRatioPipeline:
     def test_complete_graph(self):
@@ -188,6 +190,15 @@ class TestRatioPipeline:
 
         with pytest.raises(ValueError):
             qb.ratio_pipeline(Graph(1), Fraction(1, 2))
+
+    def test_rejects_float_ratio(self, greedy_gap_graph):
+        from fractions import Fraction
+
+        # alpha 6 vs greedy 5: exactly ratio 6/5, which the float 1.2 lies below
+        g = Graph(10, greedy_gap_graph.edges)
+        assert qb.ratio_pipeline(g, Fraction(6, 5))
+        with pytest.raises(TypeError):
+            qb.ratio_pipeline(g, 1.2)
 
     @pytest.mark.parametrize(
         "answers, errors, message",
@@ -235,29 +246,32 @@ def test_ratio_pipeline_matches_direct(n, data):
 
 def direct(query):
     """One query answered on its own by the public solvers, as (answer, error)."""
-    p = query.payload
     try:
+        k = int(query.k)
         if query.kind == "score_at_most":
-            e = qb._election_from_payload(p["election"])
-            candidate = int(p["candidate"])
+            e, candidate = query.instance, int(query.candidate)
             if not 0 <= candidate < e.num_candidates:
                 raise ValueError(f"candidate {candidate} out of range")
-            return el.score_at_most(e, candidate, int(p["k"])), None
-        g = qb._graph_from_payload(p["graph"])
+            return el.score_at_most(e, candidate, k), None
         if query.kind == "alpha_geq":
-            return gr.independence_number(g) >= int(p["k"]), None
-        return gr.greedy_reaches(g, int(p["s"])), None
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+            return gr.independence_number(query.instance) >= k, None
+        return gr.greedy_reaches(query.instance, k), None
+    except (TypeError, ValueError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-MALFORMED = [
-    qb.Query("alpha_geq", {"graph": {"n": 2}, "k": 1}),
-    qb.Query("alpha_geq", {"graph": {"n": 2, "edges": [[0, 5]]}, "k": 1}),
-    qb.Query("mdg_geq", {"graph": {"n": 3, "edges": []}}),
-    qb.Query("score_at_most", {"election": {"candidates": []}, "k": 0}),
-    qb.Query("score_at_most", {"election": {"candidates": ["a"], "rankings": [[0, 0]]}, "candidate": 0, "k": 0}),
-]
+def rebuilt(query):
+    """The same query on an equal but separate copy of its instance."""
+    x = query.instance
+    if isinstance(x, Graph):
+        copy = Graph(x.n, x.edges)
+    else:
+        copy = el.Election.from_names(
+            [c.name for c in x.candidates],
+            [[x.name_of(c) for c in v.ranking] for v in x.voters],
+        )
+    assert copy == x and copy is not x
+    return dataclasses.replace(query, instance=copy)
 
 
 @given(st.data())
@@ -265,30 +279,30 @@ MALFORMED = [
 def test_mixed_batch_matches_direct_verdicts(data):
     import itertools
 
-    pool = list(MALFORMED)
+    pool = []
     for n in data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2)):
         pairs = list(itertools.combinations(range(n), 2))
         g = Graph(n, [p for p in pairs if data.draw(st.booleans())])
-        shared = qb.graph_payload(g)
         for k in range(-1, n + 2):
-            pool.append(qb.Query("alpha_geq", {"graph": shared, "k": k}))
-            pool.append(qb.Query("mdg_geq", {"graph": shared, "s": k}))
-        pool.append(qb.Query("alpha_geq", {"graph": shared, "k": "many"}))
+            pool.append(qb.independence_query(g, k))
+            pool.append(qb.greedy_query(g, k))
+        pool.append(qb.independence_query(g, "many"))
+        pool.append(qb.greedy_query(g, None))
     m = data.draw(st.integers(1, 3))
     rankings = [data.draw(st.permutations(range(m))) for _ in range(data.draw(st.integers(1, 3)))]
     e = el.Election(
         tuple(el.Candidate(i, f"c{i}") for i in range(m)),
         tuple(el.PreferenceOrder(tuple(r)) for r in rankings),
     )
-    shared = qb.election_payload(e)
     for c in range(-1, m + 1):
         for k in range(el.max_score(e) + 1):
-            pool.append(qb.Query("score_at_most", {"election": shared, "candidate": c, "k": k}))
+            pool.append(qb.score_query(e, c, k))
+    pool.append(qb.score_query(e, 0, "many"))
+    pool.append(qb.Query("score_at_most", e, 0))  # no candidate
 
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
     queries = [pool[i] for i in picks]
-    # equal but separate payloads, as decoded JSON has them
-    copies = [qb.Query(q.kind, json.loads(json.dumps(q.payload))) for q in queries]
+    copies = [rebuilt(q) for q in queries]
     queries += data.draw(st.lists(st.sampled_from(copies), max_size=20)) if copies else []
     queries = data.draw(st.permutations(queries))
 
@@ -318,21 +332,14 @@ def test_one_solve_per_distinct_instance(monkeypatch, greedy_gap_graph, four_vot
     qb.carroll_winner_pipeline(four_voter, 0)
     assert calls == {"carroll_score": four_voter.num_candidates}
     calls.clear()
-    # equal instances from separate payloads still share one solve
-    text = json.dumps(qb.graph_payload(greedy_gap_graph))
-    queries = [qb.Query("alpha_geq", {"graph": json.loads(text), "k": k}) for k in range(5)]
+    # equal but separate instances still share one solve
+    queries = [rebuilt(qb.independence_query(greedy_gap_graph, k)) for k in range(5)]
+    queries += [rebuilt(qb.score_query(four_voter, 0, k)) for k in range(5)]
     qb.evaluate_batch(qb.QueryBatch(tuple(queries)))
-    assert calls == {"independence_number": 1}
+    assert calls == {"independence_number": 1, "carroll_score": 1}
     calls.clear()
     # greedy thresholds outside 1..n are answered without a solve
     queries = [qb.greedy_query(greedy_gap_graph, s) for s in (-1, 0, 8, 9)]
     av = qb.evaluate_batch(qb.QueryBatch(tuple(queries)), budget=1)
     assert av.answers == (True, True, False, False)
     assert calls == {}
-
-
-@given(st.integers(0, 40), st.floats(0, 1), st.randoms(use_true_random=False))
-@settings(deadline=None, max_examples=60)
-def test_graph_payload_lists_sorted_edges(n, density, rng):
-    g = Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density])
-    assert qb.graph_payload(g) == {"n": n, "edges": sorted(list(e) for e in g.edges)}

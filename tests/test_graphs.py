@@ -685,6 +685,15 @@ class TestRatioClasses:
         with pytest.raises(ValueError):
             gr.misses_ratio(Graph(1), Fraction(2, 3))
 
+    def test_float_ratio_rejected(self, greedy_gap_graph):
+        # alpha 6 vs greedy 5: exactly ratio 6/5, which the float 1.2 lies below
+        g = Graph(10, greedy_gap_graph.edges)
+        assert gr.achieves_ratio(g, Fraction(6, 5))
+        assert not gr.misses_ratio(g, Fraction(6, 5))
+        for check in (gr.achieves_ratio, gr.misses_ratio):
+            with pytest.raises(TypeError):
+                check(g, 1.2)
+
 
 def test_additivity_over_disjoint_unions():
     parts = [Graph(1), Graph.complete(2), Graph.path(3), Graph.cycle(3), Graph.star(2)]
