@@ -26,7 +26,14 @@ that budget, the witness there and the `(what, budget)` error one below
 it.  At the default budget it also records `verify_reduction(g, h).lines()`
 on 20 random pairs of 1-4-vertex graphs, and the one-batch
 `carroll_winner_pipeline` verdict for every candidate of 60 random
-elections with 3-4 candidates and 3-5 voters.  The text layer is covered too:
+elections with 3-4 candidates and 3-5 voters.  On those elections the
+Carroll DP is swept like the graph solvers: `carroll_score(e, c, b)` (score
+and witness) for every candidate and `all_winners(e, b)`, at every budget
+from -1 up to the first one that fits.  On 20 random elections with 5
+candidates and 9-13 voters, two in five of them drawn from 3-5 rankings
+(the shape of the `carroll-winners` workload), it records each candidate's
+least fitting budget of `carroll_score`, found as for the witnesses.  The
+text layer is covered too:
 for every corpus graph the script records the sha256 of `format_graph(g)`
 and whether `parse_graph` of that text gives g back, so a change that
 moves one byte of the written text, or reads it differently, shows up.
@@ -132,6 +139,18 @@ def _parse_outcome(parse, ParseError, text: str) -> list:
     return [result, [str(w.message) for w in caught]]
 
 
+def _sweep(attempt) -> list:
+    """`attempt(budget)`'s outcome at every budget from -1 up to the first
+    one that fits, or up to MAX_BUDGET."""
+    steps = []
+    for budget in range(-1, MAX_BUDGET + 1):
+        fits, result = attempt(budget)
+        steps.append(result)
+        if fits:
+            break
+    return steps
+
+
 def _least_fit(attempt) -> tuple[list, int]:
     """The least budget from -1 up at which `attempt(budget)` fits, by
     doubling and then bisecting, as `[budget, outcome one below (or None),
@@ -178,6 +197,11 @@ def collect(tree: Path) -> dict:
         ("pipeline-3/2", lambda g, b: batch.ratio_pipeline(g, Fraction(3, 2), b)),
     )
     records, points = [], 0
+
+    def _certificate(e, c, budget):
+        cert = elections.carroll_score(e, c, budget)
+        return [cert.score, cert.witness]
+
     for name, g in _corpus(Graph, reductions):
         text = formats.format_graph(g)
         digest = hashlib.sha256(text.encode()).hexdigest()
@@ -185,12 +209,7 @@ def collect(tree: Path) -> dict:
         for label, faulted in _faulted_texts(text, g):
             records.append([name, label, _parse_outcome(formats.parse_graph, ParseError, faulted)])
         for label, solve in sweeps:
-            steps = []
-            for budget in range(-1, MAX_BUDGET + 1):
-                fits, result = _outcome(lambda: solve(g, budget), BudgetExceededError)
-                steps.append(result)
-                if fits:
-                    break
+            steps = _sweep(lambda b: _outcome(lambda: solve(g, b), BudgetExceededError))
             points += len(steps)
             records.append([name, label, steps])
         for label, witness in (
@@ -216,6 +235,30 @@ def collect(tree: Path) -> dict:
             for c in range(m)
         ]
         records.append([f"election{i}", "winner-pipeline", verdicts])
+        for c in range(m):
+            steps = _sweep(lambda b: _outcome(lambda: _certificate(e, c, b), BudgetExceededError))
+            points += len(steps)
+            records.append([f"election{i}", f"score-{c}", steps])
+        steps = _sweep(lambda b: _outcome(lambda: sorted(elections.all_winners(e, b)), BudgetExceededError))
+        points += len(steps)
+        records.append([f"election{i}", "winners", steps])
+    for i in range(20):
+        n = rng.randint(9, 13)
+        if rng.random() < 0.4:
+            base = [rng.sample(range(5), 5) for _ in range(rng.randint(3, 5))]
+            rankings = [rng.choice(base) for _ in range(n)]
+        else:
+            rankings = [rng.sample(range(5), 5) for _ in range(n)]
+        e = elections.Election(
+            tuple(elections.Candidate(c, f"c{c}") for c in range(5)),
+            tuple(elections.PreferenceOrder(tuple(r)) for r in rankings),
+        )
+        for c in range(5):
+            least, tried = _least_fit(
+                lambda b: _outcome(lambda: _certificate(e, c, b), BudgetExceededError)
+            )
+            points += tried
+            records.append([f"election5-{i}", f"score-{c}", least])
     return {"points": points, "records": records}
 
 

@@ -5,11 +5,12 @@ driver writes down every question it will ever need, has them all answered
 in a single round, and then post-processes the answer vector.  No query may
 depend on another query's answer; each pipeline issues exactly one batch.
 
-Each query carries its own `Graph` or `Election`.  Within a round the
-evaluator groups the queries by (solver, instance), solves each group once,
-and reads every threshold off that exact value, so asking about one instance
-at many thresholds costs one solve.  Instances are immutable and compare by
-value, so equal but separate instances share one solve.
+Each query is built directly as `Query(kind, instance, k[, candidate])`
+and carries its own `Graph` or `Election`.  Within a round the evaluator
+groups the queries by (solver, instance), solves each group once, and reads
+every threshold off that exact value, so asking about one instance at many
+thresholds costs one solve.  Instances are immutable and compare by value,
+so equal but separate instances share one solve.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class Query:
     """One yes/no question about an instance at threshold k.
 
     `score_at_most` asks about a candidate of an `Election`; `alpha_geq` and
-    `mdg_geq` ask about a `Graph`.
+    `mdg_geq` ask about a `Graph`.  The threshold and the candidate must be
+    ints: anything else is a per-query TypeError when the batch is answered.
     """
 
     kind: str
@@ -50,9 +52,6 @@ class Query:
 class QueryBatch:
     queries: tuple[Query, ...]
 
-    def __len__(self) -> int:
-        return len(self.queries)
-
 
 @dataclass(frozen=True)
 class AnswerVector:
@@ -66,27 +65,20 @@ class AnswerVector:
             raise ValueError("answers and errors must align")
 
 
-def score_query(e: Election, candidate: int, k: int) -> Query:
-    return Query("score_at_most", e, k, candidate)
-
-
-def independence_query(g: Graph, k: int) -> Query:
-    return Query("alpha_geq", g, k)
-
-
-def greedy_query(g: Graph, s: int) -> Query:
-    return Query("mdg_geq", g, s)
-
-
 def _plan(query: Query) -> tuple[tuple | None, Callable[[object], bool]]:
     """The solve a query needs, as (solver, *instance) or None, and its test.
 
     The test turns the solved value into the query's answer.  A bad
     threshold or candidate raises here, before any solve.
     """
-    k = int(query.k)
+    k = query.k
+    # int() would truncate 1.5 to 1 and parse "1": a wrong verdict, no error
+    if not isinstance(k, int):
+        raise TypeError(f"threshold must be an int, got {k!r}")
     if query.kind == "score_at_most":
-        e, candidate = query.instance, int(query.candidate)
+        e, candidate = query.instance, query.candidate
+        if not isinstance(candidate, int):
+            raise TypeError(f"candidate must be an int, got {candidate!r}")
         if not 0 <= candidate < e.num_candidates:
             raise ValueError(f"candidate {candidate} out of range")
         return (elections.carroll_score, e, candidate), lambda cert: cert.score <= k
@@ -175,7 +167,9 @@ def carroll_winner_pipeline(e: Election, candidate: int, budget: int = DEFAULT_B
         raise ValueError(f"no candidate with id {candidate}")
     cap = elections.max_score(e)
     width = cap + 1
-    queries = [score_query(e, c, k) for c in range(e.num_candidates) for k in range(width)]
+    queries = [
+        Query("score_at_most", e, k, c) for c in range(e.num_candidates) for k in range(width)
+    ]
     av = evaluate_batch(QueryBatch(tuple(queries)), budget)
     answers = _strict_answers(av, "carroll_winner_pipeline")
     rows = [answers[c * width : (c + 1) * width] for c in range(e.num_candidates)]
@@ -193,8 +187,7 @@ def ratio_pipeline(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     """
     r = graphs._check_ratio(r)
     n = g.n
-    queries = [independence_query(g, k) for k in range(1, n + 1)]
-    queries += [greedy_query(g, s) for s in range(1, n + 1)]
+    queries = [Query(kind, g, k) for kind in ("alpha_geq", "mdg_geq") for k in range(1, n + 1)]
     answers = _strict_answers(evaluate_batch(QueryBatch(tuple(queries)), budget), "ratio_pipeline")
     # a "value >= k" row turns false at index value, so its complement turns true there
     alpha, greedy = (

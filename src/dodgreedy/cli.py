@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import elections, formats, graphs, reductions, selftest
+from . import elections, formats, graphs, reductions
 from .errors import BudgetExceededError, IntegrityError, ParseError
 from .graphs import DEFAULT_BUDGET
 
@@ -131,6 +131,9 @@ def _cmd_verify_reduction(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # loaded here so that no other verb pays for the suites and the oracles
+    from . import selftest
+
     results = selftest.run_all()
     width = max(len(r.name) for r in results)
     for r in results:

@@ -29,9 +29,6 @@ class PreferenceOrder:
 
     ranking: tuple[int, ...]
 
-    def position_of(self, c: int) -> int:
-        return self.ranking.index(c)
-
 
 @dataclass(frozen=True)
 class Election:
@@ -253,7 +250,7 @@ def _solve_min_raises(e: Election, c: int, budget: int) -> tuple[int, tuple[int,
     # = voters from i on that rank d above c (the most d's deficit can fall)
     above = []
     for voter in e.voters:
-        pos = voter.position_of(c)
+        pos = voter.ranking.index(c)
         above.append(voter.ranking[:pos][::-1])
     slack = [[0] * m]
     for row in reversed(above):
@@ -316,7 +313,7 @@ def carroll_score(e: Election, c: int, budget: int = DEFAULT_BUDGET) -> ScoreCer
     score, raises = _solve_min_raises(e, c, budget)
     witness = []
     for voter, steps in enumerate(raises):
-        pos = e.voters[voter].position_of(c)
+        pos = e.voters[voter].ranking.index(c)
         witness.extend((voter, pos - t) for t in range(1, steps + 1))
     return ScoreCertificate(c, score, tuple(witness))
 

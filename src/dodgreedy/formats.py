@@ -184,7 +184,7 @@ def format_partmap(artifact: ReductionArtifact) -> str:
     lines = []
     for label, span in artifact.parts:
         lines.append(f"part {label} {span.start + 1}..{span.stop}")
-    for pair in sorted(tuple(sorted(p)) for p in artifact.joins):
+    for pair in sorted(tuple(sorted(p)) for p in JOIN_PAIRS):
         lines.append(f"join {pair[0]} {pair[1]}")
     return "\n".join(lines) + "\n"
 

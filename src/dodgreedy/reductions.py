@@ -43,18 +43,16 @@ def _layout(n: int) -> tuple[tuple[str, range], ...]:
 @dataclass(frozen=True)
 class ReductionArtifact:
     """The wired six-part graph plus the bookkeeping needed to audit it.
-    Its layout (`ell`, `parts`, `joins`) is a fixed function of `n`."""
+    Its layout (`ell`, `parts`) is a fixed function of `n`, and its joined
+    part pairs are always `JOIN_PAIRS`."""
 
     graph: Graph
     k: int
     n: int
-    provenance: tuple[str, ...]
     # the pipeline's intermediate graphs, both sides after pad_edges, after
     # double_subdivision and after pad_vertices, so that verify_reduction
     # measures the very graphs the artifact was built from
     stages: tuple[Graph, ...] = field(compare=False, repr=False)
-
-    joins = JOIN_PAIRS  # unannotated, so a class constant and not a field
 
     @property
     def ell(self) -> int:
@@ -144,7 +142,6 @@ def build_reduction(g: Graph, h: Graph) -> ReductionArtifact:
     (each on n vertices), then independent sets I1, I2 of size 2n + 2.
     Joined part pairs get every cross edge; all other part pairs get none.
     """
-    plan_g, plan_h = _edge_pad_plan(g.num_edges, h.num_edges)
     g2, h2, k = pad_edges(g, h)
     gp = double_subdivision(g2)
     hp = double_subdivision(h2)
@@ -159,19 +156,7 @@ def build_reduction(g: Graph, h: Graph) -> ReductionArtifact:
         join = sum(masks[q] for q in PART_LABELS if frozenset((label, q)) in JOIN_PAIRS)
         own = sources[label]._adj if label in sources else (0,) * len(span)
         rows += [row << span.start | join for row in own]
-    ghat = Graph._from_rows(rows)
-
-    provenance = (
-        *(f"edge-pad g += K{size}" for size in plan_g),
-        *(f"edge-pad h += K{size}" for size in plan_h),
-        f"subdivide g: {k} edges -> {2 * k} new vertices",
-        f"subdivide h: {k} edges -> {2 * k} new vertices",
-        f"vertex-pad g += K{gpp.n - gp.n}",
-        f"vertex-pad h += K{hpp.n - hp.n}",
-        f"join parts with ell = {len(parts['I1'])}",
-    )
-    stages = (g2, h2, gp, hp, gpp, hpp)
-    return ReductionArtifact(ghat, k, n, provenance, stages)
+    return ReductionArtifact(Graph._from_rows(rows), k, n, (g2, h2, gp, hp, gpp, hpp))
 
 
 def check_artifact_structure(artifact: ReductionArtifact) -> bool:
@@ -187,7 +172,7 @@ def check_artifact_structure(artifact: ReductionArtifact) -> bool:
     adj = graph._adj
     for i, p in enumerate(PART_LABELS):
         for q in PART_LABELS[i + 1 :]:
-            cross = masks[q] if frozenset((p, q)) in artifact.joins else 0
+            cross = masks[q] if frozenset((p, q)) in JOIN_PAIRS else 0
             if any(adj[u] & masks[q] != cross for u in spans[p]):
                 return False
 

@@ -37,21 +37,21 @@ class TestQueries:
 
     def test_golden_score_row(self, four_voter):
         c = four_voter.id_of("C")
-        queries = tuple(qb.score_query(four_voter, c, k) for k in range(4))
+        queries = tuple(qb.Query("score_at_most", four_voter, k, c) for k in range(4))
         av = qb.evaluate_batch(qb.QueryBatch(queries))
         assert av.answers == (False, False, False, True)
 
     def test_alpha_thresholds(self):
         k3 = Graph.complete(3)
         av = qb.evaluate_batch(
-            qb.QueryBatch((qb.independence_query(k3, 1), qb.independence_query(k3, 2)))
+            qb.QueryBatch((qb.Query("alpha_geq", k3, 1), qb.Query("alpha_geq", k3, 2)))
         )
         assert av.answers == (True, False)
 
     def test_greedy_thresholds(self):
         star = Graph.star(3)
         av = qb.evaluate_batch(
-            qb.QueryBatch((qb.greedy_query(star, 3), qb.greedy_query(star, 4)))
+            qb.QueryBatch((qb.Query("mdg_geq", star, 3), qb.Query("mdg_geq", star, 4)))
         )
         assert av.answers == (True, False)
 
@@ -64,12 +64,12 @@ class TestQueries:
             qb.Query("score_at_most", Graph.complete(3), 0, 0)
 
     def test_score_budget_is_honoured(self, four_voter):
-        query = qb.score_query(four_voter, four_voter.id_of("C"), 3)
+        query = qb.Query("score_at_most", four_voter, 3, four_voter.id_of("C"))
         with pytest.raises(BudgetExceededError):
             qb.evaluate_batch(qb.QueryBatch((query,)), budget=1)
 
     def test_candidate_out_of_range_is_malformed(self, four_voter):
-        queries = (qb.score_query(four_voter, 9, 0), qb.score_query(four_voter, -1, 0))
+        queries = tuple(qb.Query("score_at_most", four_voter, 0, c) for c in (9, -1))
         av = qb.evaluate_batch(qb.QueryBatch(queries))
         assert av.answers == (None, None)
         assert av.errors == ("ValueError: candidate 9 out of range", "ValueError: candidate -1 out of range")
@@ -79,13 +79,35 @@ class TestQueries:
         # solve would abort the whole batch instead of failing one query
         graph = Graph.cycle(7)
         queries = (
-            qb.independence_query(graph, "x"),
-            qb.greedy_query(graph, "x"),
-            qb.score_query(four_voter, 0, "x"),
+            qb.Query("alpha_geq", graph, "x"),
+            qb.Query("mdg_geq", graph, "x"),
+            qb.Query("score_at_most", four_voter, "x", 0),
         )
         av = qb.evaluate_batch(qb.QueryBatch(queries), budget=0)
         assert av.answers == (None, None, None)
-        assert av.errors == ("ValueError: invalid literal for int() with base 10: 'x'",) * 3
+        assert av.errors == ("TypeError: threshold must be an int, got 'x'",) * 3
+
+    def test_non_int_threshold_or_candidate_is_malformed(self, four_voter):
+        from fractions import Fraction
+
+        # int() would truncate these to a threshold of 1, 3 and a candidate
+        # of 1, whose verdicts (True, True, False) are wrong for 1.5 and 3.5
+        queries = (
+            qb.Query("alpha_geq", Graph.complete(3), 1.5),
+            qb.Query("mdg_geq", Graph.star(3), 3.5),
+            qb.Query("score_at_most", four_voter, 3, 1.7),
+            qb.Query("alpha_geq", Graph.complete(3), "1"),
+            qb.Query("mdg_geq", Graph.star(3), Fraction(3, 2)),
+        )
+        av = qb.evaluate_batch(qb.QueryBatch(queries))
+        assert av.answers == (None,) * 5
+        assert av.errors == (
+            "TypeError: threshold must be an int, got 1.5",
+            "TypeError: threshold must be an int, got 3.5",
+            "TypeError: candidate must be an int, got 1.7",
+            "TypeError: threshold must be an int, got '1'",
+            "TypeError: threshold must be an int, got Fraction(3, 2)",
+        )
 
 
 class TestScoresFromAnswers:
@@ -118,7 +140,7 @@ class TestScoresFromAnswers:
 class TestUniformity:
     def test_deterministic(self, four_voter):
         queries = tuple(
-            qb.score_query(four_voter, c, k) for c in range(3) for k in range(3)
+            qb.Query("score_at_most", four_voter, k, c) for c in range(3) for k in range(3)
         )
         first = qb.evaluate_batch(qb.QueryBatch(queries))
         second = qb.evaluate_batch(qb.QueryBatch(queries))
@@ -126,10 +148,10 @@ class TestUniformity:
 
     def test_order_independence(self, four_voter, greedy_gap_graph):
         queries = [
-            qb.score_query(four_voter, c, k) for c in range(3) for k in range(4)
+            qb.Query("score_at_most", four_voter, k, c) for c in range(3) for k in range(4)
         ]
-        queries += [qb.independence_query(greedy_gap_graph, k) for k in range(1, 5)]
-        queries += [qb.greedy_query(greedy_gap_graph, s) for s in range(1, 5)]
+        queries += [qb.Query("alpha_geq", greedy_gap_graph, k) for k in range(1, 5)]
+        queries += [qb.Query("mdg_geq", greedy_gap_graph, s) for s in range(1, 5)]
         baseline = qb.evaluate_batch(qb.QueryBatch(tuple(queries))).answers
         rng = random.Random(11)
         for _ in range(3):
@@ -247,9 +269,13 @@ def test_ratio_pipeline_matches_direct(n, data):
 def direct(query):
     """One query answered on its own by the public solvers, as (answer, error)."""
     try:
-        k = int(query.k)
+        k = query.k
+        if not isinstance(k, int):
+            raise TypeError(f"threshold must be an int, got {k!r}")
         if query.kind == "score_at_most":
-            e, candidate = query.instance, int(query.candidate)
+            e, candidate = query.instance, query.candidate
+            if not isinstance(candidate, int):
+                raise TypeError(f"candidate must be an int, got {candidate!r}")
             if not 0 <= candidate < e.num_candidates:
                 raise ValueError(f"candidate {candidate} out of range")
             return el.score_at_most(e, candidate, k), None
@@ -284,10 +310,13 @@ def test_mixed_batch_matches_direct_verdicts(data):
         pairs = list(itertools.combinations(range(n), 2))
         g = Graph(n, [p for p in pairs if data.draw(st.booleans())])
         for k in range(-1, n + 2):
-            pool.append(qb.independence_query(g, k))
-            pool.append(qb.greedy_query(g, k))
-        pool.append(qb.independence_query(g, "many"))
-        pool.append(qb.greedy_query(g, None))
+            pool.append(qb.Query("alpha_geq", g, k))
+            pool.append(qb.Query("mdg_geq", g, k))
+        pool.append(qb.Query("alpha_geq", g, "many"))
+        pool.append(qb.Query("mdg_geq", g, None))
+        for k in (0.5, n - 0.5, n + 0.5):  # int() would truncate these
+            pool.append(qb.Query("alpha_geq", g, k))
+            pool.append(qb.Query("mdg_geq", g, k))
     m = data.draw(st.integers(1, 3))
     rankings = [data.draw(st.permutations(range(m))) for _ in range(data.draw(st.integers(1, 3)))]
     e = el.Election(
@@ -296,8 +325,10 @@ def test_mixed_batch_matches_direct_verdicts(data):
     )
     for c in range(-1, m + 1):
         for k in range(el.max_score(e) + 1):
-            pool.append(qb.score_query(e, c, k))
-    pool.append(qb.score_query(e, 0, "many"))
+            pool.append(qb.Query("score_at_most", e, k, c))
+    pool.append(qb.Query("score_at_most", e, "many", 0))
+    pool.append(qb.Query("score_at_most", e, 0.5, 0))
+    pool.append(qb.Query("score_at_most", e, 0, 0.7))
     pool.append(qb.Query("score_at_most", e, 0))  # no candidate
 
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
@@ -333,13 +364,13 @@ def test_one_solve_per_distinct_instance(monkeypatch, greedy_gap_graph, four_vot
     assert calls == {"carroll_score": four_voter.num_candidates}
     calls.clear()
     # equal but separate instances still share one solve
-    queries = [rebuilt(qb.independence_query(greedy_gap_graph, k)) for k in range(5)]
-    queries += [rebuilt(qb.score_query(four_voter, 0, k)) for k in range(5)]
+    queries = [rebuilt(qb.Query("alpha_geq", greedy_gap_graph, k)) for k in range(5)]
+    queries += [rebuilt(qb.Query("score_at_most", four_voter, k, 0)) for k in range(5)]
     qb.evaluate_batch(qb.QueryBatch(tuple(queries)))
     assert calls == {"independence_number": 1, "carroll_score": 1}
     calls.clear()
     # greedy thresholds outside 1..n are answered without a solve
-    queries = [qb.greedy_query(greedy_gap_graph, s) for s in (-1, 0, 8, 9)]
+    queries = [qb.Query("mdg_geq", greedy_gap_graph, s) for s in (-1, 0, 8, 9)]
     av = qb.evaluate_batch(qb.QueryBatch(tuple(queries)), budget=1)
     assert av.answers == (True, True, False, False)
     assert calls == {}

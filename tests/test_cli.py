@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from dodgreedy import cli, elections, formats
+from dodgreedy import cli, elections, formats, selftest
 from dodgreedy.graphs import Graph
-from dodgreedy.selftest import CheckResult
 
 FOUR_VOTER = "C D P\nC P D\nP C D\nP D C\nD P C\n"
 THREE_VOTER = "C D P\nP C D\nD P C\nC D P\n"
@@ -193,33 +192,35 @@ class TestReductionVerbs:
 class TestSelftestVerb:
     def test_matrix_and_exit_codes(self, capsys, monkeypatch):
         fake = [
-            CheckResult("alpha-beta", True, "all good", 0.01),
-            CheckResult("gamma", False, "broke", 0.02),
+            selftest.CheckResult("alpha-beta", True, "all good", 0.01),
+            selftest.CheckResult("gamma", False, "broke", 0.02),
         ]
-        monkeypatch.setattr(cli.selftest, "run_all", lambda: fake)
+        monkeypatch.setattr(selftest, "run_all", lambda: fake)
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "alpha-beta" in out and "PASS" in out and "FAIL" in out
 
-        monkeypatch.setattr(cli.selftest, "run_all", lambda: fake[:1])
+        monkeypatch.setattr(selftest, "run_all", lambda: fake[:1])
         code, out, _ = run(capsys, "selftest")
         assert code == 0
 
 
 class TestImportCost:
     def test_cli_import_leaves_networkx_out(self):
-        # networkx only serves the selftest tree corpus; loading it with the
-        # CLI would cost every invocation its import time and memory
+        # networkx only serves the selftest tree corpus, and the suites and
+        # oracles only the selftest verb; loading them with the CLI would
+        # cost every invocation their import time and memory
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import dodgreedy.cli; "
-            "print('networkx' in sys.modules)"
+            "print([m for m in ('networkx', 'dodgreedy.selftest', 'dodgreedy.oracles')"
+            " if m in sys.modules])"
         )
         out = subprocess.run(
             [sys.executable, "-I", "-c", code],
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
-        assert out == "False\n"
+        assert out == "[]\n"
 
 
 class TestParser:
