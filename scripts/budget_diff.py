@@ -16,6 +16,7 @@ Each tree is run in a process of its own that imports only that tree's
 
 On every corpus graph, `independence_number`, `greedy_independence_number`,
 `_alpha_and_greedy`, `achieves_ratio` at r = 1, `misses_ratio` at r = 3/2
+(from `graphs` in trees that still keep it there, else from `oracles`)
 and the one-batch `ratio_pipeline` at r = 3/2 are run at every budget from
 -1 up to the first one that fits, and each value or `(what, budget)` error
 is recorded.  The witnesses
@@ -29,12 +30,20 @@ on 20 random pairs of 1-4-vertex graphs, and the one-batch
 elections with 3-4 candidates and 3-5 voters.  On those elections the
 Carroll DP is swept like the graph solvers: `carroll_score(e, c, b)` (score
 and witness) for every candidate and `all_winners(e, b)`, at every budget
-from -1 up to the first one that fits.  On 20 random elections with 5
-candidates and 9-13 voters, two in five of them drawn from 3-5 rankings
-(the shape of the `carroll-winners` workload), it records each candidate's
-least fitting budget of `carroll_score`, found as for the witnesses.  The
-text layer is covered too:
-for every corpus graph the script records the sha256 of `format_graph(g)`
+from -1 up to the first one that fits, and so are `is_carroll_winner(e, c,
+b)` for every candidate and `ties_or_defeats(e, c, d, b)` for every
+ordered pair, c = d included.  On the same elections it records the
+rankings or error text of `apply_swap` for every voter from -1 to n and
+position from -1 to m - 1, of `apply_raise` for every candidate id,
+voter and step count from -1 to m (so every depth + 1 is covered), and
+of `replay_witness` on each candidate's certificate, and what `name_of`,
+`defeats` (either side) and `carroll_score` make of the ids -1 and m.
+Each corpus artifact's `check_artifact_structure` verdict is recorded,
+with those of ten seeded single-edge flips of its graph.  On 20 random
+elections with 5 candidates and 9-13 voters, two in five of them drawn
+from 3-5 rankings (the shape of the `carroll-winners` workload), it
+records each candidate's least fitting budget of `carroll_score`, found
+as for the witnesses.  The text layer is covered too: for every corpus graph the script records the sha256 of `format_graph(g)`
 and whether `parse_graph` of that text gives g back, so a change that
 moves one byte of the written text, or reads it differently, shows up.
 It also records what `parse_graph` makes of four texts derived from the
@@ -71,9 +80,10 @@ def _random_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
-def _corpus(Graph, reductions) -> list[tuple[str, object]]:
+def _corpus(Graph, reductions) -> tuple[list[tuple[str, object]], list]:
+    """The labelled corpus graphs, and the reduction artifacts among them."""
     rng = random.Random(SEED)
-    corpus = []
+    corpus, artifacts = [], []
     for i in range(300):
         n = rng.randint(0, 13)
         p = rng.choice((0.15, 0.3, 0.5, 0.7))
@@ -84,7 +94,8 @@ def _corpus(Graph, reductions) -> list[tuple[str, object]]:
         corpus.append((f"subdiv{i}", reductions.double_subdivision(base)))
     for i in range(40):
         g, h = (Graph(n, _random_edges(rng, n, 0.5)) for n in (rng.randint(1, 3), rng.randint(1, 3)))
-        corpus.append((f"artifact{i}", reductions.build_reduction(g, h).graph))
+        artifacts.append(reductions.build_reduction(g, h))
+        corpus.append((f"artifact{i}", artifacts[-1].graph))
     for n in range(3, 61):
         corpus.append((f"band{n}", Graph(n, [(i, i + d) for d in (1, 2) for i in range(n - d)])))
     for n in [*range(1, 21), 30, 50, 75, 100, 150, 200]:
@@ -96,7 +107,7 @@ def _corpus(Graph, reductions) -> list[tuple[str, object]]:
             edges += [(0 if j == 0 else top + j - 1, top + j) for j in range(length)]
             top += length
         corpus.append((f"spider{i}", Graph(top, edges)))
-    return corpus
+    return corpus, artifacts
 
 
 def _outcome(call, BudgetExceededError):
@@ -182,18 +193,20 @@ def _least_fit(attempt) -> tuple[list, int]:
 def collect(tree: Path) -> dict:
     """The records of one tree, computed with that tree's own modules."""
     sys.path.insert(0, str(tree / "src"))
-    from dodgreedy import batch, elections, formats, graphs, reductions
+    from dodgreedy import batch, elections, formats, graphs, oracles, reductions
     from dodgreedy.errors import BudgetExceededError, ParseError
 
     if not Path(graphs.__file__).resolve().is_relative_to(tree):
         sys.exit(f"imported {graphs.__file__}, not the tree's own module")
     Graph = graphs.Graph
+    # graphs kept `misses_ratio` before it moved to oracles
+    misses_ratio = getattr(graphs, "misses_ratio", None) or oracles.misses_ratio
     sweeps = (
         ("alpha", graphs.independence_number),
         ("greedy", graphs.greedy_independence_number),
         ("pair", graphs._alpha_and_greedy),
         ("achieves-1", lambda g, b: graphs.achieves_ratio(g, 1, b)),
-        ("misses-3/2", lambda g, b: graphs.misses_ratio(g, Fraction(3, 2), b)),
+        ("misses-3/2", lambda g, b: misses_ratio(g, Fraction(3, 2), b)),
         ("pipeline-3/2", lambda g, b: batch.ratio_pipeline(g, Fraction(3, 2), b)),
     )
     records, points = [], 0
@@ -202,7 +215,15 @@ def collect(tree: Path) -> dict:
         cert = elections.carroll_score(e, c, budget)
         return [cert.score, cert.witness]
 
-    for name, g in _corpus(Graph, reductions):
+    def _rankings(election):
+        return [list(voter.ranking) for voter in election.voters]
+
+    def _checked(call):
+        # an outcome that no budget limits: a value, or the error's text
+        return _outcome(call, BudgetExceededError)[1]
+
+    corpus, artifacts = _corpus(Graph, reductions)
+    for name, g in corpus:
         text = formats.format_graph(g)
         digest = hashlib.sha256(text.encode()).hexdigest()
         records.append([name, "text", [digest, formats.parse_graph(text) == g]])
@@ -219,6 +240,17 @@ def collect(tree: Path) -> dict:
             least, tried = _least_fit(lambda b: _outcome(lambda: witness(b), BudgetExceededError))
             points += tried
             records.append([name, label, least])
+    flips = random.Random(SEED + 2)
+    for i, artifact in enumerate(artifacts):
+        g = artifact.graph
+        verdicts = [reductions.check_artifact_structure(artifact)]
+        for _ in range(10):
+            u, v = sorted(flips.sample(range(g.n), 2))
+            flipped = Graph(g.n, g.edges ^ {(u, v)})
+            verdicts.append([u, v, reductions.check_artifact_structure(
+                reductions.ReductionArtifact(flipped, artifact.k, artifact.n, artifact.stages)
+            )])
+        records.append([f"artifact{i}", "structure", verdicts])
     rng = random.Random(SEED + 1)
     for i in range(20):
         g, h = (Graph(n, _random_edges(rng, n, 0.5)) for n in (rng.randint(1, 4), rng.randint(1, 4)))
@@ -242,6 +274,43 @@ def collect(tree: Path) -> dict:
         steps = _sweep(lambda b: _outcome(lambda: sorted(elections.all_winners(e, b)), BudgetExceededError))
         points += len(steps)
         records.append([f"election{i}", "winners", steps])
+        for c in range(m):
+            steps = _sweep(lambda b: _outcome(lambda: elections.is_carroll_winner(e, c, b), BudgetExceededError))
+            points += len(steps)
+            records.append([f"election{i}", f"winner-{c}", steps])
+            for d in range(m):
+                steps = _sweep(
+                    lambda b: _outcome(lambda: elections.ties_or_defeats(e, c, d, b), BudgetExceededError)
+                )
+                points += len(steps)
+                records.append([f"election{i}", f"ties-or-defeats-{c}-{d}", steps])
+        swaps = [
+            _checked(lambda: _rankings(elections.apply_swap(e, v, p)))
+            for v in range(-1, n + 1) for p in range(-1, m)
+        ]
+        records.append([f"election{i}", "swaps", swaps])
+        # steps from -1 to m cover -1..depth + 1 at every depth
+        raises = [
+            _checked(lambda: _rankings(elections.apply_raise(e, c, v, t)))
+            for c in range(-1, m + 1) for v in range(-1, n + 1) for t in range(-1, m + 1)
+        ]
+        records.append([f"election{i}", "raises", raises])
+        replays = [
+            _checked(lambda: _rankings(elections.replay_witness(e, elections.carroll_score(e, c))))
+            for c in range(m)
+        ]
+        records.append([f"election{i}", "replays", replays])
+        outside = [
+            _checked(call)
+            for c in (-1, m)
+            for call in (
+                lambda: [e.name_of(c)],
+                lambda: elections.defeats(e, c, 0),
+                lambda: elections.defeats(e, 0, c),
+                lambda: _certificate(e, c, graphs.DEFAULT_BUDGET),
+            )
+        ]
+        records.append([f"election{i}", "outside-ids", outside])
     for i in range(20):
         n = rng.randint(9, 13)
         if rng.random() < 0.4:

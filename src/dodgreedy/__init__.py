@@ -50,7 +50,6 @@ from .graphs import (
     independence_number,
     max_independent_set,
     min_degree_greedy,
-    misses_ratio,
     replay_trace,
 )
 from .reductions import (

@@ -30,8 +30,9 @@ class Query:
     """One yes/no question about an instance at threshold k.
 
     `score_at_most` asks about a candidate of an `Election`; `alpha_geq` and
-    `mdg_geq` ask about a `Graph`.  The threshold and the candidate must be
-    ints: anything else is a per-query TypeError when the batch is answered.
+    `mdg_geq` ask about a `Graph` and take no candidate.  The threshold and
+    the candidate must be ints, not bools: anything else is a per-query
+    TypeError when the batch is answered.
     """
 
     kind: str
@@ -71,17 +72,18 @@ def _plan(query: Query) -> tuple[tuple | None, Callable[[object], bool]]:
     The test turns the solved value into the query's answer.  A bad
     threshold or candidate raises here, before any solve.
     """
-    k = query.k
-    # int() would truncate 1.5 to 1 and parse "1": a wrong verdict, no error
-    if not isinstance(k, int):
+    k, candidate = query.k, query.candidate
+    # int() would truncate 1.5 to 1 and parse "1", and True is an int: each
+    # would give a wrong verdict with no error
+    if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"threshold must be an int, got {k!r}")
     if query.kind == "score_at_most":
-        e, candidate = query.instance, query.candidate
-        if not isinstance(candidate, int):
+        if isinstance(candidate, bool) or not isinstance(candidate, int):
             raise TypeError(f"candidate must be an int, got {candidate!r}")
-        if not 0 <= candidate < e.num_candidates:
-            raise ValueError(f"candidate {candidate} out of range")
-        return (elections.carroll_score, e, candidate), lambda cert: cert.score <= k
+        e = query.instance
+        return (elections.carroll_score, e, e._candidate(candidate)), lambda cert: cert.score <= k
+    if candidate is not None:
+        raise TypeError(f"{query.kind} query takes no candidate, got {candidate!r}")
     g = query.instance
     if query.kind == "alpha_geq":
         return (graphs.independence_number, g), lambda alpha: alpha >= k
@@ -163,8 +165,7 @@ def carroll_winner_pipeline(e: Election, candidate: int, budget: int = DEFAULT_B
     the distinguished candidate attains the minimum.  Agrees with
     elections.is_carroll_winner by construction.
     """
-    if not 0 <= candidate < e.num_candidates:
-        raise ValueError(f"no candidate with id {candidate}")
+    e._candidate(candidate)
     cap = elections.max_score(e)
     width = cap + 1
     queries = [
@@ -182,7 +183,7 @@ def ratio_pipeline(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
 
     Asks alpha >= k and greedy >= k for k = 1..n, reads both exact values
     off the answer rows (each reads true, then false), and applies
-    achieves_ratio's integer test to them.  misses_ratio keeps the
+    achieves_ratio's integer test to them.  oracles.misses_ratio keeps the
     complement form of the same test.
     """
     r = graphs._check_ratio(r)

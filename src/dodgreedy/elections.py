@@ -96,10 +96,18 @@ class Election:
         state.pop("_hash", None)
         return state
 
-    def name_of(self, c: int) -> str:
+    def _candidate(self, c: int) -> int:
         if not 0 <= c < len(self.candidates):
             raise ValueError(f"no candidate with id {c}")
-        return self.candidates[c].name
+        return c
+
+    def _voter(self, v: int) -> int:
+        if not 0 <= v < len(self.voters):
+            raise ValueError(f"voter {v} out of range for {len(self.voters)} voters")
+        return v
+
+    def name_of(self, c: int) -> str:
+        return self.candidates[self._candidate(c)].name
 
     def id_of(self, name: str) -> int:
         for cand in self.candidates:
@@ -141,10 +149,7 @@ def pairwise_tally(e: Election) -> list[list[int]]:
 
 def defeats(e: Election, a: int, b: int) -> bool:
     """Whether strictly more than half of the voters rank a above b."""
-    for c in (a, b):
-        if not 0 <= c < e.num_candidates:
-            raise ValueError(f"no candidate with id {c}")
-    if a == b:
+    if e._candidate(a) == e._candidate(b):
         raise ValueError("a candidate cannot face itself")
     return _defeats_in(pairwise_tally(e), a, b, e.num_voters)
 
@@ -167,55 +172,45 @@ def condorcet_winner(e: Election) -> int | None:
     return None
 
 
-def _swap(ranking: list[int], position: int) -> None:
-    if not 0 <= position < len(ranking) - 1:
-        raise ValueError(f"no adjacent pair at position {position}")
-    ranking[position], ranking[position + 1] = ranking[position + 1], ranking[position]
-
-
-def _with_rankings(e: Election, rankings: dict[int, list[int]]) -> Election:
-    voters = list(e.voters)
-    for voter, ranking in rankings.items():
-        voters[voter] = PreferenceOrder(tuple(ranking))
-    return Election(e.candidates, tuple(voters))
-
-
-def _ranking(e: Election, voter: int) -> list[int]:
-    """A copy of one voter's ranking; negative indices are not voters."""
-    if not 0 <= voter < e.num_voters:
-        raise ValueError(f"voter {voter} out of range for {e.num_voters} voters")
-    return list(e.voters[voter].ranking)
-
-
-def apply_swap(e: Election, voter: int, position: int) -> Election:
-    """Exchange the adjacent entries at position and position+1 of one ranking."""
-    ranking = _ranking(e, voter)
-    _swap(ranking, position)
-    return _with_rankings(e, {voter: ranking})
-
-
-def apply_raise(e: Election, candidate: int, voter: int, steps: int) -> Election:
-    """Move a candidate up `steps` adjacent positions in one voter's ranking."""
+def _raise_swaps(e: Election, candidate: int, voter: int, steps: int) -> list[tuple[int, int]]:
+    """A raise of a candidate by `steps` places in one voter's ranking, as
+    the adjacent swaps that make it, each past the rival just above."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    ranking = _ranking(e, voter)
-    pos = ranking.index(candidate)
+    # as a list, an absent candidate reads "<candidate> is not in list"
+    pos = list(e.voters[e._voter(voter)].ranking).index(candidate)
     if steps > pos:
         raise ValueError(
             f"candidate {candidate} sits at depth {pos} in voter {voter}, cannot raise {steps}"
         )
-    ranking[pos - steps : pos + 1] = [candidate] + ranking[pos - steps : pos]
-    return _with_rankings(e, {voter: ranking})
+    return [(voter, pos - t) for t in range(1, steps + 1)]
+
+
+def _apply_swaps(e: Election, swaps: Iterable[tuple[int, int]]) -> Election:
+    """The election after these (voter, position) swaps, in order; each
+    exchanges the entries at position and position + 1 of that ranking."""
+    rankings = [list(voter.ranking) for voter in e.voters]
+    for voter, position in swaps:
+        ranking = rankings[e._voter(voter)]
+        if not 0 <= position < len(ranking) - 1:
+            raise ValueError(f"no adjacent pair at position {position}")
+        ranking[position], ranking[position + 1] = ranking[position + 1], ranking[position]
+    return Election(e.candidates, tuple([PreferenceOrder(tuple(r)) for r in rankings]))
+
+
+def apply_swap(e: Election, voter: int, position: int) -> Election:
+    """Exchange the adjacent entries at position and position+1 of one ranking."""
+    return _apply_swaps(e, [(voter, position)])
+
+
+def apply_raise(e: Election, candidate: int, voter: int, steps: int) -> Election:
+    """Move a candidate up `steps` adjacent positions in one voter's ranking."""
+    return _apply_swaps(e, _raise_swaps(e, candidate, voter, steps))
 
 
 def replay_witness(e: Election, cert: ScoreCertificate) -> Election:
     """Apply a certificate's swap steps in order to the election."""
-    rankings: dict[int, list[int]] = {}
-    for voter, position in cert.witness:
-        if voter not in rankings:
-            rankings[voter] = _ranking(e, voter)
-        _swap(rankings[voter], position)
-    return _with_rankings(e, rankings)
+    return _apply_swaps(e, cert.witness)
 
 
 def _solve_min_raises(e: Election, c: int, budget: int) -> tuple[int, tuple[int, ...]]:
@@ -308,13 +303,11 @@ def carroll_score(e: Election, c: int, budget: int = DEFAULT_BUDGET) -> ScoreCer
     Raises BudgetExceededError when the DP would store more than `budget`
     states.
     """
-    if not 0 <= c < e.num_candidates:
-        raise ValueError(f"no candidate with id {c}")
-    score, raises = _solve_min_raises(e, c, budget)
+    score, raises = _solve_min_raises(e, e._candidate(c), budget)
     witness = []
     for voter, steps in enumerate(raises):
-        pos = e.voters[voter].ranking.index(c)
-        witness.extend((voter, pos - t) for t in range(1, steps + 1))
+        if steps:
+            witness += _raise_swaps(e, c, voter, steps)
     return ScoreCertificate(c, score, tuple(witness))
 
 

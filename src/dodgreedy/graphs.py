@@ -734,17 +734,3 @@ def achieves_ratio(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     r = _check_ratio(r)
     alpha, greedy = _alpha_and_greedy(g, budget)
     return alpha * r.denominator <= greedy * r.numerator
-
-
-def misses_ratio(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
-    """Complement of achieves_ratio, evaluated through threshold queries.
-
-    True iff some k in [1, n] has alpha >= k while greedy * numerator stays
-    below k * denominator.
-    """
-    r = _check_ratio(r)
-    alpha, greedy = _alpha_and_greedy(g, budget)
-    return any(
-        alpha >= k and greedy * r.numerator < k * r.denominator
-        for k in range(1, g.n + 1)
-    )

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: plain enumeration with none of the
 memoization, decomposition, or pruning the production solvers use, so that
 agreement between the two routes is meaningful evidence.  Only usable at
-small sizes.
+small sizes.  The one exception is `misses_ratio`, which reuses the exact
+solvers: it is the complement form of `graphs.achieves_ratio`'s test.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import deque
 from itertools import permutations, product
 
 from .elections import Election
-from .graphs import Graph
+from .graphs import DEFAULT_BUDGET, Graph, Ratio, _alpha_and_greedy, _check_ratio
 
 
 def independence_by_enumeration(g: Graph, limit: int = 24) -> int:
@@ -132,3 +133,17 @@ def condorcet_distances(m: int, n: int, c: int) -> dict[tuple[tuple[int, ...], .
                 dist[nxt] = d + 1
                 queue.append(nxt)
     return dist
+
+
+def misses_ratio(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
+    """Complement of achieves_ratio, evaluated through threshold queries.
+
+    True iff some k in [1, n] has alpha >= k while greedy * numerator stays
+    below k * denominator.
+    """
+    r = _check_ratio(r)
+    alpha, greedy = _alpha_and_greedy(g, budget)
+    return any(
+        alpha >= k and greedy * r.numerator < k * r.denominator
+        for k in range(1, g.n + 1)
+    )

@@ -40,6 +40,21 @@ def _layout(n: int) -> tuple[tuple[str, range], ...]:
     return tuple(zip(PART_LABELS, map(range, starts, starts[1:])))
 
 
+def _wiring(n: int, gpp: Graph, hpp: Graph) -> list[tuple[range, tuple[int, ...]]]:
+    """(vertex span, rows) of each part of the artifact on G'' and H'': each
+    row holds the part's own edges (I1 and I2 have none), shifted into place,
+    plus an edge to every vertex of each part that JOIN_PAIRS joins to it."""
+    parts = _layout(n)
+    masks = {label: ((1 << len(span)) - 1) << span.start for label, span in parts}
+    sources = {"G1": gpp, "G2": gpp, "H1": hpp, "H2": hpp}
+    wiring = []
+    for p, span in parts:
+        join = sum(masks[q] for q in PART_LABELS if frozenset((p, q)) in JOIN_PAIRS)
+        own = sources[p]._adj if p in sources else (0,) * len(span)
+        wiring.append((span, tuple(row << span.start | join for row in own)))
+    return wiring
+
+
 @dataclass(frozen=True)
 class ReductionArtifact:
     """The wired six-part graph plus the bookkeeping needed to audit it.
@@ -146,16 +161,7 @@ def build_reduction(g: Graph, h: Graph) -> ReductionArtifact:
     gp = double_subdivision(g2)
     hp = double_subdivision(h2)
     gpp, hpp, n = pad_vertices(gp, hp)
-    parts = dict(_layout(n))
-    sources = {"G1": gpp, "G2": gpp, "H1": hpp, "H2": hpp}
-    masks = {label: ((1 << len(span)) - 1) << span.start for label, span in parts.items()}
-    rows = []
-    for label, span in parts.items():
-        # the part's own edges (I1 and I2 have none), shifted into place,
-        # plus an edge to every vertex of each part joined to it
-        join = sum(masks[q] for q in PART_LABELS if frozenset((label, q)) in JOIN_PAIRS)
-        own = sources[label]._adj if label in sources else (0,) * len(span)
-        rows += [row << span.start | join for row in own]
+    rows = [row for _, part in _wiring(n, gpp, hpp) for row in part]
     return ReductionArtifact(Graph._from_rows(rows), k, n, (g2, h2, gp, hp, gpp, hpp))
 
 
@@ -163,29 +169,11 @@ def check_artifact_structure(artifact: ReductionArtifact) -> bool:
     """Recheck the artifact's wiring from the graph alone: the cross edges
     JOIN_PAIRS asks for and no others, I1 and I2 independent, G1 and G2 each
     inducing G'' (stages[4]) and H1 and H2 each inducing H'' (stages[5])."""
-    graph = artifact.graph
-    spans = dict(artifact.parts)
-    if graph.n != sum(len(span) for span in spans.values()):
-        return False
-
-    masks = {label: ((1 << len(span)) - 1) << span.start for label, span in spans.items()}
-    adj = graph._adj
-    for i, p in enumerate(PART_LABELS):
-        for q in PART_LABELS[i + 1 :]:
-            cross = masks[q] if frozenset((p, q)) in JOIN_PAIRS else 0
-            if any(adj[u] & masks[q] != cross for u in spans[p]):
-                return False
-
-    def internal_rows(label: str) -> tuple[int, ...]:
-        # each vertex's neighbours inside its own part, relabeled from 0
-        base = spans[label].start
-        return tuple((adj[u] & masks[label]) >> base for u in spans[label])
-
-    gpp, hpp = artifact.stages[4:]
-    return (
-        not any(internal_rows("I1") + internal_rows("I2"))
-        and internal_rows("G1") == internal_rows("G2") == gpp._adj
-        and internal_rows("H1") == internal_rows("H2") == hpp._adj
+    adj = artifact.graph._adj
+    wiring = _wiring(artifact.n, *artifact.stages[4:])
+    # each vertex once: its whole row, the neighbours inside its part and out
+    return len(adj) == wiring[-1][0].stop and all(
+        adj[span.start : span.stop] == rows for span, rows in wiring
     )
 
 

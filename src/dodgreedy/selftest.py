@@ -175,7 +175,7 @@ def check_greedy_and_ratio() -> tuple[CheckResult, CheckResult]:
     ratios = (Fraction(1), Fraction(3, 2), Fraction(2))
     for g in corpus:
         inside = [graphs.achieves_ratio(g, r) for r in ratios]
-        outside = [graphs.misses_ratio(g, r) for r in ratios]
+        outside = [oracles.misses_ratio(g, r) for r in ratios]
         for r, a, b in zip(ratios, inside, outside):
             if a == b:
                 ratio_failures.append(f"{g!r} r={r}: membership and complement agree")

@@ -72,7 +72,7 @@ class TestQueries:
         queries = tuple(qb.Query("score_at_most", four_voter, 0, c) for c in (9, -1))
         av = qb.evaluate_batch(qb.QueryBatch(queries))
         assert av.answers == (None, None)
-        assert av.errors == ("ValueError: candidate 9 out of range", "ValueError: candidate -1 out of range")
+        assert av.errors == ("ValueError: no candidate with id 9", "ValueError: no candidate with id -1")
 
     def test_bad_threshold_is_reported_before_the_solve(self, four_voter):
         # at budget 0 every solve runs out, so a threshold read after its
@@ -107,6 +107,24 @@ class TestQueries:
             "TypeError: candidate must be an int, got 1.7",
             "TypeError: threshold must be an int, got '1'",
             "TypeError: threshold must be an int, got Fraction(3, 2)",
+        )
+
+
+    def test_bool_or_stray_candidate_is_malformed(self, four_voter):
+        # each was answered before as if True were 1 and the candidate unset;
+        # at budget 0 every solve runs out, so each must fail before its solve
+        star = Graph.star(3)
+        queries = (
+            qb.Query("alpha_geq", star, 3, "x"),
+            qb.Query("alpha_geq", star, True),
+            qb.Query("score_at_most", four_voter, 0, True),
+        )
+        av = qb.evaluate_batch(qb.QueryBatch(queries), budget=0)
+        assert av.answers == (None,) * 3
+        assert av.errors == (
+            "TypeError: alpha_geq query takes no candidate, got 'x'",
+            "TypeError: threshold must be an int, got True",
+            "TypeError: candidate must be an int, got True",
         )
 
 
@@ -269,16 +287,15 @@ def test_ratio_pipeline_matches_direct(n, data):
 def direct(query):
     """One query answered on its own by the public solvers, as (answer, error)."""
     try:
-        k = query.k
-        if not isinstance(k, int):
+        k, candidate = query.k, query.candidate
+        if isinstance(k, bool) or not isinstance(k, int):
             raise TypeError(f"threshold must be an int, got {k!r}")
         if query.kind == "score_at_most":
-            e, candidate = query.instance, query.candidate
-            if not isinstance(candidate, int):
+            if isinstance(candidate, bool) or not isinstance(candidate, int):
                 raise TypeError(f"candidate must be an int, got {candidate!r}")
-            if not 0 <= candidate < e.num_candidates:
-                raise ValueError(f"candidate {candidate} out of range")
-            return el.score_at_most(e, candidate, k), None
+            return el.score_at_most(query.instance, candidate, k), None
+        if candidate is not None:
+            raise TypeError(f"{query.kind} query takes no candidate, got {candidate!r}")
         if query.kind == "alpha_geq":
             return gr.independence_number(query.instance) >= k, None
         return gr.greedy_reaches(query.instance, k), None
@@ -314,9 +331,12 @@ def test_mixed_batch_matches_direct_verdicts(data):
             pool.append(qb.Query("mdg_geq", g, k))
         pool.append(qb.Query("alpha_geq", g, "many"))
         pool.append(qb.Query("mdg_geq", g, None))
-        for k in (0.5, n - 0.5, n + 0.5):  # int() would truncate these
+        for k in (0.5, n - 0.5, n + 0.5, True, False):  # int() would truncate these
             pool.append(qb.Query("alpha_geq", g, k))
             pool.append(qb.Query("mdg_geq", g, k))
+        for candidate in ("x", 0, False):  # a graph query takes no candidate
+            pool.append(qb.Query("alpha_geq", g, 1, candidate))
+            pool.append(qb.Query("mdg_geq", g, 1, candidate))
     m = data.draw(st.integers(1, 3))
     rankings = [data.draw(st.permutations(range(m))) for _ in range(data.draw(st.integers(1, 3)))]
     e = el.Election(
@@ -329,6 +349,9 @@ def test_mixed_batch_matches_direct_verdicts(data):
     pool.append(qb.Query("score_at_most", e, "many", 0))
     pool.append(qb.Query("score_at_most", e, 0.5, 0))
     pool.append(qb.Query("score_at_most", e, 0, 0.7))
+    pool.append(qb.Query("score_at_most", e, True, 0))
+    pool.append(qb.Query("score_at_most", e, 0, True))
+    pool.append(qb.Query("score_at_most", e, 0, False))
     pool.append(qb.Query("score_at_most", e, 0))  # no candidate
 
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
@@ -339,6 +362,35 @@ def test_mixed_batch_matches_direct_verdicts(data):
 
     av = qb.evaluate_batch(qb.QueryBatch(tuple(queries)))
     assert list(zip(av.answers, av.errors)) == [direct(q) for q in queries]
+
+
+def batch_score_error(e, c):
+    """The error a one-query batch reports for a score query on candidate c."""
+    return qb.evaluate_batch(qb.QueryBatch((qb.Query("score_at_most", e, 0, c),))).errors[0]
+
+
+CANDIDATE_CALLS = {
+    "name_of": lambda e, c: e.name_of(c),
+    "defeats": lambda e, c: el.defeats(e, c, 0),
+    "defeats-rival": lambda e, c: el.defeats(e, 0, c),
+    "carroll_score": el.carroll_score,
+    "score_at_most": lambda e, c: el.score_at_most(e, c, 0),
+    "ties_or_defeats": lambda e, c: el.ties_or_defeats(e, c, 0),
+    "ties_or_defeats-rival": lambda e, c: el.ties_or_defeats(e, 0, c),
+    "is_carroll_winner": el.is_carroll_winner,
+    "carroll_winner_pipeline": qb.carroll_winner_pipeline,
+    "batch score query": batch_score_error,
+}
+
+
+@pytest.mark.parametrize("call", CANDIDATE_CALLS.values(), ids=CANDIDATE_CALLS)
+def test_every_candidate_call_rejects_ids_outside_the_election(four_voter, call):
+    for c in (-1, four_voter.num_candidates):
+        try:
+            error = call(four_voter, c)
+        except ValueError as exc:
+            error = f"ValueError: {exc}"
+        assert error == f"ValueError: no candidate with id {c}"
 
 
 def test_one_solve_per_distinct_instance(monkeypatch, greedy_gap_graph, four_voter):

@@ -373,6 +373,31 @@ def test_witness_soundness(e):
         assert len(cert.witness) == cert.score
 
 
+def fold_swaps(e, swaps):
+    for voter, position in swaps:
+        e = el.apply_swap(e, voter, position)
+    return e
+
+
+@given(small_elections(max_candidates=4, max_voters=4), st.data())
+@settings(deadline=None, max_examples=60)
+def test_raises_and_witnesses_are_their_adjacent_swaps(e, data):
+    # a raise by t from depth pos passes the rivals at pos - 1, ..., pos - t
+    c = data.draw(st.integers(0, e.num_candidates - 1))
+    voter = data.draw(st.integers(0, e.num_voters - 1))
+    pos = e.voters[voter].ranking.index(c)
+    steps = data.draw(st.integers(0, pos))
+    swaps = [(voter, pos - t) for t in range(1, steps + 1)]
+    assert el.apply_raise(e, c, voter, steps) == fold_swaps(e, swaps)
+    cert = el.carroll_score(e, c)
+    assert el.replay_witness(e, cert) == fold_swaps(e, cert.witness)
+    if e.num_candidates > 1:
+        pairs = st.tuples(st.integers(0, e.num_voters - 1), st.integers(0, e.num_candidates - 2))
+        witness = tuple(data.draw(st.lists(pairs, max_size=8)))
+        forged = el.ScoreCertificate(c, len(witness), witness)
+        assert el.replay_witness(e, forged) == fold_swaps(e, witness)
+
+
 def deficit_sum(e, c):
     """Majority shortfalls of c summed over rivals: each adjacent swap closes
     at most one unit of one shortfall, so this lower-bounds the score."""

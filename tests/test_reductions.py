@@ -161,6 +161,14 @@ class TestBuildReduction:
             short = red.ReductionArtifact(Graph(n), art.k, art.n, art.stages)
             assert not red.check_artifact_structure(short), n
 
+    def test_structure_check_catches_every_single_edge_flip(self):
+        art = red.build_reduction(Graph(1), Graph.empty(2))
+        assert red.check_artifact_structure(art)
+        for u, v in itertools.combinations(range(art.graph.n), 2):
+            flipped = Graph(art.graph.n, art.graph.edges ^ {(u, v)})
+            forged = red.ReductionArtifact(flipped, art.k, art.n, art.stages)
+            assert not red.check_artifact_structure(forged), (u, v)
+
     def test_stages_are_the_pipeline_graphs(self):
         g, h = Graph.path(3), Graph.complete(2)
         g2, h2, _ = red.pad_edges(g, h)
