@@ -53,14 +53,21 @@ of a run of consecutive neighbours put before the first edge (the two
 repeats raise m in the header).  Each outcome is the adjacency rows or
 the `ParseError` text, with the warning messages in order.
 
-Exits 0 and prints the number of budget points when the two record lists
-are equal; otherwise exits 1 and names the first difference.  Standard
-library only.
+The two record lists must be equal but for the labels in `EXPECTED`, each
+of which names why it may move.  A swept label there may only move its
+first fitting budget up: the outcome where it fits must be the parent's,
+and each budget error must name a step the parent named under that label.
+`raises` may only turn an error into `no candidate with id c`.  Exits 0
+and prints the number of budget points, with how many records each
+expected label moved and by how much at most, when that holds; otherwise
+exits 1 and names the first difference that breaks it.  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import os
@@ -74,6 +81,17 @@ from pathlib import Path
 SEED = 20260101
 # a sweep that still fails here has gone wrong; record it rather than loop on
 MAX_BUDGET = 200_000
+# record labels (fnmatch patterns) a change may move, each with its reason
+EXPECTED = {
+    "pair": "alpha's and greedy's states share one ledger",
+    "achieves-1": "alpha's and greedy's states share one ledger",
+    "misses-3/2": "alpha's and greedy's states share one ledger",
+    "pipeline-3/2": "a batch round's solves share one ledger",
+    "winners": "all_winners' m scores share one ledger",
+    "winner-[0-9]*": "is_carroll_winner's scores share one ledger",
+    "ties-or-defeats-*": "ties_or_defeats' two scores share one ledger",
+    "raises": "apply_raise checks its candidate id first",
+}
 
 
 def _random_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
@@ -193,7 +211,7 @@ def _least_fit(attempt) -> tuple[list, int]:
 def collect(tree: Path) -> dict:
     """The records of one tree, computed with that tree's own modules."""
     sys.path.insert(0, str(tree / "src"))
-    from dodgreedy import batch, elections, formats, graphs, oracles, reductions
+    from dodgreedy import batch, elections, errors, formats, graphs, oracles, reductions
     from dodgreedy.errors import BudgetExceededError, ParseError
 
     if not Path(graphs.__file__).resolve().is_relative_to(tree):
@@ -201,10 +219,13 @@ def collect(tree: Path) -> dict:
     Graph = graphs.Graph
     # graphs kept `misses_ratio` before it moved to oracles
     misses_ratio = getattr(graphs, "misses_ratio", None) or oracles.misses_ratio
+    # `_alpha_and_greedy` takes a budget ledger in trees that have one
+    Ledger = getattr(errors, "_Ledger", None)
+    pair = (lambda g, b: graphs._alpha_and_greedy(g, Ledger(b))) if Ledger else graphs._alpha_and_greedy
     sweeps = (
         ("alpha", graphs.independence_number),
         ("greedy", graphs.greedy_independence_number),
-        ("pair", graphs._alpha_and_greedy),
+        ("pair", pair),
         ("achieves-1", lambda g, b: graphs.achieves_ratio(g, 1, b)),
         ("misses-3/2", lambda g, b: misses_ratio(g, Fraction(3, 2), b)),
         ("pipeline-3/2", lambda g, b: batch.ratio_pipeline(g, Fraction(3, 2), b)),
@@ -342,6 +363,71 @@ def run_tree(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def _expected(label: str) -> str | None:
+    return next((p for p in EXPECTED if fnmatch.fnmatchcase(label, p)), None)
+
+
+def _budget_move(old: list, new: list, whats: set) -> int | str:
+    """How far a sweep's first fitting budget rose, or why the move is wrong."""
+    if new[-1] != old[-1]:
+        return f"ends in {new[-1]}, the parent in {old[-1]}"
+    if len(new) < len(old):
+        return "fits a smaller budget than the parent"
+    stray = {step[1] for step in new[:-1]} - whats
+    if stray:
+        return f"names steps the parent never named: {sorted(stray)}"
+    return len(new) - len(old)
+
+
+def _raise_move(old: list, new: list, whats: set) -> int | str:
+    """How many `apply_raise` outcomes turned into the candidate check's
+    error, or why the move is wrong."""
+    if len(new) != len(old):
+        return "the outcome lists differ in length"
+    moved = 0
+    for was, now in zip(old, new):
+        if was != now:
+            if was[0] != "error" or now[:2] != ["error", "ValueError"] or not now[2].startswith(
+                "no candidate with id "
+            ):
+                return f"{was} became {now}"
+            moved += 1
+    return moved
+
+
+def compare(parent: list, change: list) -> int:
+    """Print how the change's records differ from the parent's, and return
+    the exit status: 0 when every difference is an expected move."""
+    if len(parent) != len(change):
+        print(f"record counts differ: {len(parent)} vs {len(change)}")
+        return 1
+    whats: dict[str, set] = {}  # per expected label, the steps the parent named
+    for _, label, steps in parent:
+        if (pattern := _expected(label)) is not None:
+            whats.setdefault(pattern, set()).update(s[1] for s in steps if s[0] == "budget")
+    moves: dict[str, list[int]] = {}  # per expected label, [records moved, largest move]
+    for old, new in zip(parent, change):
+        if old == new:
+            continue
+        pattern = _expected(old[1]) if old[:2] == new[:2] else None
+        if pattern is None:
+            print(f"first difference at {old[0]} {old[1]}:\n  parent {old[2]}\n  change {new[2]}")
+            return 1
+        check = _raise_move if pattern == "raises" else _budget_move
+        moved = check(old[2], new[2], whats[pattern])
+        if isinstance(moved, str):
+            print(f"unexpected move at {old[0]} {old[1]}: {moved}")
+            return 1
+        count = moves.setdefault(pattern, [0, 0])
+        count[0] += 1
+        count[1] = max(count[1], moved)
+    print(f"{'no difference' if not moves else 'only expected moves'}: {len(parent)} records")
+    for pattern, (records, largest) in moves.items():
+        unit = "outcomes" if pattern == "raises" else "budget points"
+        print(f"  {pattern}: {records} records moved, by at most {largest} {unit} ({EXPECTED[pattern]})")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path)
@@ -354,15 +440,9 @@ def main() -> int:
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are both required")
     parent, change = (run_tree(tree.resolve()) for tree in (args.parent, args.change))
-    for old, new in zip(parent["records"], change["records"]):
-        if old != new:
-            print(f"first difference at {old[0]} {old[1]}:\n  parent {old[2]}\n  change {new[2]}")
-            return 1
-    if len(parent["records"]) != len(change["records"]):
-        print(f"record counts differ: {len(parent['records'])} vs {len(change['records'])}")
-        return 1
-    print(f"no difference: {len(parent['records'])} records, {parent['points']} budget points")
-    return 0
+    status = compare(parent["records"], change["records"])
+    print(f"budget points: {parent['points']} at the parent, {change['points']} with the change")
+    return status
 
 
 if __name__ == "__main__":

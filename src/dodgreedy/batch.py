@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from . import elections, graphs
 from .elections import Election
-from .errors import IntegrityError
+from .errors import IntegrityError, _Ledger, _require_int
 from .graphs import DEFAULT_BUDGET, Graph, Ratio
 
 QUERY_KINDS = {"score_at_most": Election, "alpha_geq": Graph, "mdg_geq": Graph}
@@ -72,24 +72,20 @@ def _plan(query: Query) -> tuple[tuple | None, Callable[[object], bool]]:
     The test turns the solved value into the query's answer.  A bad
     threshold or candidate raises here, before any solve.
     """
-    k, candidate = query.k, query.candidate
     # int() would truncate 1.5 to 1 and parse "1", and True is an int: each
     # would give a wrong verdict with no error
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError(f"threshold must be an int, got {k!r}")
+    k, candidate = _require_int("threshold", query.k), query.candidate
     if query.kind == "score_at_most":
-        if isinstance(candidate, bool) or not isinstance(candidate, int):
-            raise TypeError(f"candidate must be an int, got {candidate!r}")
         e = query.instance
-        return (elections.carroll_score, e, e._candidate(candidate)), lambda cert: cert.score <= k
+        return (elections._score, e, e._candidate(candidate)), lambda score: score <= k
     if candidate is not None:
         raise TypeError(f"{query.kind} query takes no candidate, got {candidate!r}")
     g = query.instance
     if query.kind == "alpha_geq":
-        return (graphs.independence_number, g), lambda alpha: alpha >= k
+        return (graphs._alpha, g), lambda alpha: alpha >= k
     if k <= 0 or k > g.n:  # no greedy run collects more than n picks
         return None, lambda _: k <= 0
-    return (graphs.greedy_independence_number, g), lambda greedy: greedy >= k
+    return (graphs._greedy, g), lambda greedy: greedy >= k
 
 
 def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVector:
@@ -101,6 +97,7 @@ def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVec
     aborting the batch.  Resource-limit errors propagate: an exhausted
     budget is a failed computation, not a malformed question.
     """
+    ledger = _Ledger(budget)
     values: dict[tuple | None, object] = {None: None}
     answers: list[bool | None] = []
     errors: list[str | None] = []
@@ -109,7 +106,7 @@ def evaluate_batch(batch: QueryBatch, budget: int = DEFAULT_BUDGET) -> AnswerVec
             key, test = _plan(query)
             if key not in values:
                 solver, *instance = key
-                values[key] = solver(*instance, budget)
+                values[key] = solver(*instance, ledger)
             answers.append(test(values[key]))
             errors.append(None)
         except (TypeError, ValueError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _Ledger, _require_int
 from .graphs import DEFAULT_BUDGET
 
 
@@ -97,12 +97,12 @@ class Election:
         return state
 
     def _candidate(self, c: int) -> int:
-        if not 0 <= c < len(self.candidates):
+        if not 0 <= _require_int("candidate", c) < len(self.candidates):
             raise ValueError(f"no candidate with id {c}")
         return c
 
     def _voter(self, v: int) -> int:
-        if not 0 <= v < len(self.voters):
+        if not 0 <= _require_int("voter", v) < len(self.voters):
             raise ValueError(f"voter {v} out of range for {len(self.voters)} voters")
         return v
 
@@ -175,10 +175,10 @@ def condorcet_winner(e: Election) -> int | None:
 def _raise_swaps(e: Election, candidate: int, voter: int, steps: int) -> list[tuple[int, int]]:
     """A raise of a candidate by `steps` places in one voter's ranking, as
     the adjacent swaps that make it, each past the rival just above."""
+    e._candidate(candidate)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    # as a list, an absent candidate reads "<candidate> is not in list"
-    pos = list(e.voters[e._voter(voter)].ranking).index(candidate)
+    pos = e.voters[e._voter(voter)].ranking.index(candidate)
     if steps > pos:
         raise ValueError(
             f"candidate {candidate} sits at depth {pos} in voter {voter}, cannot raise {steps}"
@@ -213,7 +213,7 @@ def replay_witness(e: Election, cert: ScoreCertificate) -> Election:
     return _apply_swaps(e, cert.witness)
 
 
-def _solve_min_raises(e: Election, c: int, budget: int) -> tuple[int, tuple[int, ...]]:
+def _solve_min_raises(e: Election, c: int, ledger: _Ledger) -> tuple[int, tuple[int, ...]]:
     """Minimum total raises of c making it beat every rival, with per-voter amounts.
 
     Only raises of c are searched: swaps not involving c leave its pairwise
@@ -230,7 +230,7 @@ def _solve_min_raises(e: Election, c: int, budget: int) -> tuple[int, tuple[int,
     no deficit costs more than stopping one step earlier and reaches the
     same state, and a state whose deficit against d exceeds the voters left
     that rank d above c can never reach the all-zero vector.  Every stored
-    state counts against `budget`.
+    state is charged to `ledger`.
     """
     m = e.num_candidates
     n = e.num_voters
@@ -256,7 +256,7 @@ def _solve_min_raises(e: Election, c: int, budget: int) -> tuple[int, tuple[int,
 
     # layers[i][state] = (cost, state at voter i - 1, raise at voter i - 1)
     layers: list[dict] = [{start: (0, None, 0)}]
-    stored = 1
+    left = ledger.left - 1
     for i in range(n):
         row = above[i]
         room = slack[i + 1]
@@ -280,13 +280,14 @@ def _solve_min_raises(e: Election, c: int, budget: int) -> tuple[int, tuple[int,
                 key = tuple(deficits)
                 held = layer.get(key)
                 if held is None:
-                    if stored >= budget:
-                        raise BudgetExceededError("Carroll score", budget)
-                    stored += 1
+                    if left <= 0:
+                        raise BudgetExceededError("Carroll score", ledger.budget)
+                    left -= 1
                 elif held[0] <= cost + t:
                     continue
                 layer[key] = (cost + t, state, t)
         layers.append(layer)
+    ledger.left = left
 
     # the all-zero vector only ever steps on with t = 0, so it reaches the
     # last layer at its cheapest cost
@@ -303,7 +304,7 @@ def carroll_score(e: Election, c: int, budget: int = DEFAULT_BUDGET) -> ScoreCer
     Raises BudgetExceededError when the DP would store more than `budget`
     states.
     """
-    score, raises = _solve_min_raises(e, e._candidate(c), budget)
+    score, raises = _solve_min_raises(e, e._candidate(c), _Ledger(budget))
     witness = []
     for voter, steps in enumerate(raises):
         if steps:
@@ -311,30 +312,34 @@ def carroll_score(e: Election, c: int, budget: int = DEFAULT_BUDGET) -> ScoreCer
     return ScoreCertificate(c, score, tuple(witness))
 
 
+def _score(e: Election, c: int, ledger: _Ledger) -> int:
+    """c's Carroll score, its states charged to `ledger`; no witness."""
+    return _solve_min_raises(e, e._candidate(c), ledger)[0]
+
+
 def score_at_most(e: Election, c: int, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether c's Carroll score is at most k."""
-    return carroll_score(e, c, budget).score <= k
+    return _score(e, c, _Ledger(budget)) <= k
 
 
 def ties_or_defeats(e: Election, c: int, d: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether d's score is no smaller than c's."""
-    if c == d:
+    if e._candidate(c) == e._candidate(d):
         raise ValueError("a candidate cannot face itself")
-    return carroll_score(e, d, budget).score >= carroll_score(e, c, budget).score
+    ledger = _Ledger(budget)
+    return _score(e, d, ledger) >= _score(e, c, ledger)
 
 
 def is_carroll_winner(e: Election, c: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether c ties-or-defeats every other candidate (has minimum score)."""
-    mine = carroll_score(e, c, budget).score
-    return all(
-        carroll_score(e, d, budget).score >= mine
-        for d in range(e.num_candidates)
-        if d != c
-    )
+    ledger = _Ledger(budget)
+    mine = _score(e, c, ledger)
+    return all(_score(e, d, ledger) >= mine for d in range(e.num_candidates) if d != c)
 
 
 def all_winners(e: Election, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """The nonempty set of candidates with minimum Carroll score."""
-    scores = [carroll_score(e, c, budget).score for c in range(e.num_candidates)]
+    ledger = _Ledger(budget)
+    scores = [_score(e, c, ledger) for c in range(e.num_candidates)]
     low = min(scores)
     return frozenset(c for c, s in enumerate(scores) if s == low)

@@ -4,40 +4,20 @@ The two central quantities are the independence number (largest independent
 set) and the best value achievable by the minimum-degree greedy heuristic
 over all of its tie-breaking choices.  Both are computed exactly by one
 search core, `_Search`: a memo over residual vertex sets (bitmasks) that
-stores at most `budget` states and raises instead of approximating, and
-that rebuilds a best solution (a maximum independent set, a best greedy
-trace) from the memo.  Its two rule sets differ only in how a residual set
-is scored and which vertices may be taken first: any vertex for the
-independence number, a minimum-degree vertex for greedy.
+charges each state it stores to its call's one ledger (`errors._Ledger`),
+raises instead of approximating once that budget is spent, and rebuilds a
+best solution (a maximum independent set, a best greedy trace) from the
+memo.  Its two rule sets differ only in how a residual set is scored and
+which vertices may be taken first: any vertex for the independence number,
+a minimum-degree vertex for greedy.
 
-A rule is a generator: it yields each smaller residual set it needs and
-receives that set's value back.  The core runs the suspended rules on an
-explicit stack, so a search over an n-vertex graph needs no interpreter
-recursion and leaves the process's recursion limit alone.  Each rule is
-also told its parent's residual set, which lets the greedy rules carry
-residual degrees down the stack instead of rescanning: degrees sit in
-buckets (one bitmask of vertices per degree), a pick changes only the
-degrees of its boundary (the vertices next to what it removed), and a
-rule moves those down a bucket or more on entry and back on return.  The
-same boundary decides whether the rest of a pick is still connected, by a
-search that stops once it has reached every boundary vertex.  The one-shot
-`min_degree_greedy` and `replay_trace` use the same buckets, so a run
-keeps its degrees with O(n + m) popcounts instead of a rescan per pick.
-
-Both searches prune only by exact rules.  The independence search takes any
-simplicial vertex (one whose residual neighbourhood is a clique) without
-branching, branches on a whole class of false twins (vertices with equal
-residual neighbourhoods) at once, and scores a join of residual parts as
-its best part.  The greedy search stops trying tied picks once one reaches
-an upper bound on the independence number of the residual set: greedy <=
-alpha <= the size of any partition into cliques.  The bound is a greedy
-clique cover unless alpha of the set is known.  Alpha is computed lazily:
-only when the best tie so far is below the cover and the set is
-triangle-free (a double subdivision, say), where the cover is no better
-than a maximal matching.  All such probes share one independence memo, and
-the greedy search passes itself to each probe as the owner of its states:
-every state a probe stores adds to the greedy search's `stored` count,
-against its budget.
+The core runs its rules on an explicit stack, so no search recurses in the
+interpreter or touches its recursion limit.  Both rule sets prune only by
+exact rules, which `_MisSolver` and `_GreedySolver` state.  The greedy rules
+carry residual degrees down the stack in buckets (one bitmask of vertices
+per degree) instead of rescanning; `min_degree_greedy` and `replay_trace`
+use the same buckets, so a run keeps its degrees with O(n + m) popcounts
+instead of a rescan per pick.
 """
 
 from __future__ import annotations
@@ -46,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _Ledger, _require_int
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -130,7 +110,7 @@ class Graph:
         return sum(row.bit_count() for row in self._adj) // 2
 
     def _vertex(self, v: int) -> int:
-        if not 0 <= v < self.n:
+        if not 0 <= _require_int("vertex", v) < self.n:
             raise ValueError(f"no vertex {v} in a graph on {self.n} vertices")
         return v
 
@@ -382,32 +362,30 @@ class _Search:
     can and otherwise pushes that set's rule, so the stack's length is the
     search depth.  Taking a vertex removes it and its neighbors and counts
     one; `picks` replays those choices to recover a solution.  Each state
-    stored is counted in the `stored` of the `owner` passed to `solve` (the
-    search itself by default): once `owner.stored` reaches `owner.budget`,
-    storing one more raises BudgetExceededError naming the owner's `what`.
+    stored is charged to `ledger`, which raises BudgetExceededError once
+    its call's states are spent.
     """
 
-    def __init__(self, g: Graph, budget: int):
+    def __init__(self, g: Graph, ledger: _Ledger):
         self.adj = g._adj
-        self.budget = budget
-        self.stored = 0
+        self.ledger = ledger
         self.cache: dict[int, int] = {0: 0}  # the empty set is free, not a state
 
-    def solve(self, mask: int, owner: _Search | None = None) -> int:
+    def solve(self, mask: int) -> int:
         cache = self.cache
         value = cache.get(mask)
         if value is not None:
             return value
-        owner = owner or self
+        ledger = self.ledger
         masks, rules = [mask], [self._value(mask, None)]
         while True:
             try:
                 sub = rules[-1].send(value)
             except StopIteration as done:
                 value = done.value
-                if owner.stored >= owner.budget:
-                    raise BudgetExceededError(owner.what, owner.budget) from None
-                owner.stored += 1
+                if ledger.left <= 0:
+                    raise BudgetExceededError(ledger.what, ledger.budget) from None
+                ledger.left -= 1
                 cache[masks.pop()] = value
                 rules.pop()
                 if not rules:
@@ -542,9 +520,7 @@ class _GreedySolver(_Search):
     least half the set however small alpha is; with them (as in the
     reduction's artifacts) greedy often stays below alpha anyway, and a
     probe would be wasted.  A bound only prunes, so the value is exact
-    either way.  A probe passes this solver to `mis.solve` as the owner of
-    its states, so they add to this solver's `stored`; states `mis` stored
-    on its own behalf do not (alpha's, in `_alpha_and_greedy`).
+    either way.  `mis` shares this solver's ledger.
 
     Residual degrees are carried down the search, not rescanned:
     `bucket[d]` is the bitmask of the vertices with d neighbours in the
@@ -569,9 +545,9 @@ class _GreedySolver(_Search):
 
     what = "best greedy value"
 
-    def __init__(self, g: Graph, budget: int):
-        super().__init__(g, budget)
-        self.mis = _MisSolver(g, budget)
+    def __init__(self, g: Graph, ledger: _Ledger):
+        super().__init__(g, ledger)
+        self.mis = _MisSolver(g, ledger)
         self.bucket: list[int] = []
 
     def _value(self, mask: int, parent: int | None) -> Generator[int, int, int]:
@@ -606,7 +582,7 @@ class _GreedySolver(_Search):
                 if bound is None:
                     bound = _clique_cover_size(adj, mask)
                     if best < bound and _is_triangle_free(adj, mask):
-                        bound = self.mis.solve(mask, self)
+                        bound = self.mis.solve(mask)
                 while ties and best < bound:
                     low = ties & -ties
                     ties ^= low
@@ -623,14 +599,20 @@ class _GreedySolver(_Search):
         return _lowest_bucket(bucket, mask)
 
 
+def _alpha(g: Graph, ledger: _Ledger, step: str = _MisSolver.what) -> int:
+    """independence_number, its states charged to `ledger` as `step`."""
+    ledger.what = step
+    return _MisSolver(g, ledger).solve((1 << g.n) - 1)
+
+
 def independence_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact size of a maximum independent set."""
-    return _MisSolver(g, budget).solve((1 << g.n) - 1)
+    return _alpha(g, _Ledger(budget))
 
 
 def max_independent_set(g: Graph, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """One maximum independent set (a witness for independence_number)."""
-    return frozenset(_MisSolver(g, budget).picks((1 << g.n) - 1))
+    return frozenset(_MisSolver(g, _Ledger(budget, _MisSolver.what)).picks((1 << g.n) - 1))
 
 
 def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
@@ -689,14 +671,21 @@ def replay_trace(g: Graph, trace: GreedyTrace) -> frozenset[int]:
     return frozenset(trace.picks)
 
 
+def _greedy(g: Graph, ledger: _Ledger) -> int:
+    """greedy_independence_number, its states charged to `ledger`."""
+    ledger.what = _GreedySolver.what
+    return _GreedySolver(g, ledger).solve((1 << g.n) - 1)
+
+
 def greedy_independence_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Largest output size of the minimum-degree greedy over all tie choices."""
-    return _GreedySolver(g, budget).solve((1 << g.n) - 1)
+    return _greedy(g, _Ledger(budget))
 
 
 def best_greedy_trace(g: Graph, budget: int = DEFAULT_BUDGET) -> GreedyTrace:
     """A greedy trace realizing greedy_independence_number."""
-    return GreedyTrace(tuple(_GreedySolver(g, budget).picks((1 << g.n) - 1)))
+    solver = _GreedySolver(g, _Ledger(budget, _GreedySolver.what))
+    return GreedyTrace(tuple(solver.picks((1 << g.n) - 1)))
 
 
 def greedy_reaches(g: Graph, size: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -708,11 +697,15 @@ def greedy_reaches(g: Graph, size: int, budget: int = DEFAULT_BUDGET) -> bool:
     return greedy_independence_number(g, budget) >= size
 
 
-def _alpha_and_greedy(g: Graph, budget: int) -> tuple[int, int]:
-    """Alpha and best greedy value, the greedy search bounded by alpha's solver."""
+def _alpha_and_greedy(
+    g: Graph, ledger: _Ledger, steps: tuple[str, str] = (_MisSolver.what, _GreedySolver.what)
+) -> tuple[int, int]:
+    """Alpha, then best greedy bounded by alpha's memo, charged to `ledger` as `steps`."""
     full = (1 << g.n) - 1
-    greedy = _GreedySolver(g, budget)
+    greedy = _GreedySolver(g, ledger)
+    ledger.what = steps[0]
     alpha = greedy.mis.solve(full)
+    ledger.what = steps[1]
     return alpha, greedy.solve(full)
 
 
@@ -732,5 +725,5 @@ def achieves_ratio(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     Exact integer test: alpha * denominator <= greedy * numerator.
     """
     r = _check_ratio(r)
-    alpha, greedy = _alpha_and_greedy(g, budget)
+    alpha, greedy = _alpha_and_greedy(g, _Ledger(budget))
     return alpha * r.denominator <= greedy * r.numerator

@@ -13,6 +13,7 @@ from collections import deque
 from itertools import permutations, product
 
 from .elections import Election
+from .errors import _Ledger
 from .graphs import DEFAULT_BUDGET, Graph, Ratio, _alpha_and_greedy, _check_ratio
 
 
@@ -142,7 +143,7 @@ def misses_ratio(g: Graph, r: Ratio, budget: int = DEFAULT_BUDGET) -> bool:
     below k * denominator.
     """
     r = _check_ratio(r)
-    alpha, greedy = _alpha_and_greedy(g, budget)
+    alpha, greedy = _alpha_and_greedy(g, _Ledger(budget))
     return any(
         alpha >= k and greedy * r.numerator < k * r.denominator
         for k in range(1, g.n + 1)

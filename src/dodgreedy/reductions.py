@@ -15,13 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError
-from .graphs import (
-    DEFAULT_BUDGET,
-    Graph,
-    _alpha_and_greedy,
-    independence_number,
-)
+from .errors import _Ledger
+from .graphs import DEFAULT_BUDGET, Graph, _alpha, _alpha_and_greedy
 
 PART_LABELS = ("G1", "G2", "H1", "H2", "I1", "I2")
 
@@ -179,7 +174,8 @@ def check_artifact_structure(artifact: ReductionArtifact) -> bool:
 
 def same_independence_number(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether two graphs have equal independence numbers."""
-    return independence_number(g, budget) == independence_number(h, budget)
+    ledger = _Ledger(budget)
+    return _alpha(g, ledger) == _alpha(h, ledger)
 
 
 @dataclass(frozen=True)
@@ -218,38 +214,28 @@ class ReductionReport:
         return out
 
 
-def _exact(solve, graph: Graph, budget: int, name: str):
-    """`solve(graph, budget)`, a budget overrun renamed to the step that ran
-    out: alpha(name) for the independence number, else mdg(name)."""
-    try:
-        return solve(graph, budget)
-    except BudgetExceededError as exc:
-        step = "alpha" if exc.what == "independence number" else "mdg"
-        raise BudgetExceededError(f"{step}({name})", exc.budget) from None
-
-
 def verify_reduction(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> ReductionReport:
     """Build the artifact and measure every contract with the exact solvers.
 
     Every stage is measured as build_reduction made it (the artifact's
-    `stages`), and the report carries the artifact.  Raises
-    BudgetExceededError naming the subcomputation if any exact solve outruns
-    the state budget; a report is only returned when every quantity was
-    computed exactly.
+    `stages`), and the report carries the artifact.  All the exact solves
+    store at most `budget` states between them; BudgetExceededError names
+    the step that ran out, as alpha(G) or mdg(G'), say.  A report is only
+    returned when every quantity was computed exactly.
     """
     artifact = build_reduction(g, h)
     g2, h2, gp, hp, gpp, hpp = artifact.stages
-    k, n = artifact.k, artifact.n
-
-    alpha_g = _exact(independence_number, g, budget, "G")
-    alpha_h = _exact(independence_number, h, budget, "H")
-    alpha_g2 = _exact(independence_number, g2, budget, "G padded")
-    alpha_h2 = _exact(independence_number, h2, budget, "H padded")
-    alpha_gp, greedy_gp = _exact(_alpha_and_greedy, gp, budget, "G'")
-    alpha_hp, greedy_hp = _exact(_alpha_and_greedy, hp, budget, "H'")
-    alpha_gpp = _exact(independence_number, gpp, budget, "G''")
-    alpha_hpp = _exact(independence_number, hpp, budget, "H''")
-    alpha_ghat, greedy_ghat = _exact(_alpha_and_greedy, artifact.graph, budget, "Ghat")
+    k, n, ghat = artifact.k, artifact.n, artifact.graph
+    ledger = _Ledger(budget)
+    alpha_g = _alpha(g, ledger, "alpha(G)")
+    alpha_h = _alpha(h, ledger, "alpha(H)")
+    alpha_g2 = _alpha(g2, ledger, "alpha(G padded)")
+    alpha_h2 = _alpha(h2, ledger, "alpha(H padded)")
+    alpha_gp, greedy_gp = _alpha_and_greedy(gp, ledger, ("alpha(G')", "mdg(G')"))
+    alpha_hp, greedy_hp = _alpha_and_greedy(hp, ledger, ("alpha(H')", "mdg(H')"))
+    alpha_gpp = _alpha(gpp, ledger, "alpha(G'')")
+    alpha_hpp = _alpha(hpp, ledger, "alpha(H'')")
+    alpha_ghat, greedy_ghat = _alpha_and_greedy(ghat, ledger, ("alpha(Ghat)", "mdg(Ghat)"))
 
     checks = (
         ("pad-edges-equal-count", g2.num_edges == h2.num_edges == k),

@@ -405,21 +405,22 @@ def test_one_solve_per_distinct_instance(monkeypatch, greedy_gap_graph, four_vot
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(gr, "independence_number")
-    counted(gr, "greedy_independence_number")
-    counted(el, "carroll_score")
+    # the batch solves through the ledger-charged private entry points
+    counted(gr, "_alpha")
+    counted(gr, "_greedy")
+    counted(el, "_score")
 
     qb.ratio_pipeline(greedy_gap_graph, 1)
-    assert calls == {"independence_number": 1, "greedy_independence_number": 1}
+    assert calls == {"_alpha": 1, "_greedy": 1}
     calls.clear()
     qb.carroll_winner_pipeline(four_voter, 0)
-    assert calls == {"carroll_score": four_voter.num_candidates}
+    assert calls == {"_score": four_voter.num_candidates}
     calls.clear()
     # equal but separate instances still share one solve
     queries = [rebuilt(qb.Query("alpha_geq", greedy_gap_graph, k)) for k in range(5)]
     queries += [rebuilt(qb.Query("score_at_most", four_voter, k, 0)) for k in range(5)]
     qb.evaluate_batch(qb.QueryBatch(tuple(queries)))
-    assert calls == {"independence_number": 1, "carroll_score": 1}
+    assert calls == {"_alpha": 1, "_score": 1}
     calls.clear()
     # greedy thresholds outside 1..n are answered without a solve
     queries = [qb.Query("mdg_geq", greedy_gap_graph, s) for s in (-1, 0, 8, 9)]

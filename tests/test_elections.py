@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dodgreedy import elections as el
+from dodgreedy import graphs as gr
 from dodgreedy import oracles
+from dodgreedy import reductions as red
 from dodgreedy.elections import Candidate, Election, PreferenceOrder
 from dodgreedy.errors import BudgetExceededError
+from dodgreedy.graphs import Graph
 
 
 def ids(e, *names):
@@ -172,6 +175,30 @@ class TestApplyRaise:
             with pytest.raises(ValueError, match=f"voter {voter} out of range"):
                 el.apply_swap(four_voter, voter, 0)
 
+    def test_candidate_out_of_range_rejected_first(self, four_voter):
+        # checked before the steps and the voter, which are also bad here
+        for c in (-1, 3, 5):
+            for voter, steps in ((0, 0), (9, 0), (0, -1)):
+                with pytest.raises(ValueError, match=f"^no candidate with id {c}$"):
+                    el.apply_raise(four_voter, c, voter, steps)
+
+
+def test_bool_ids_are_rejected(four_voter):
+    # Python counts a bool as an int, so each of these used to act on id 1 or 0
+    star = Graph.star(3)
+    for call, words in (
+        (lambda: el.carroll_score(four_voter, True), "candidate must be an int, got True"),
+        (lambda: four_voter.name_of(True), "candidate must be an int, got True"),
+        (lambda: el.apply_raise(four_voter, False, 0, 0), "candidate must be an int, got False"),
+        (lambda: el.apply_swap(four_voter, True, 0), "voter must be an int, got True"),
+        (lambda: el.apply_raise(four_voter, 0, True, 0), "voter must be an int, got True"),
+        (lambda: star.degree(True), "vertex must be an int, got True"),
+        (lambda: star.has_edge(0, False), "vertex must be an int, got False"),
+    ):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == words
+
 
 class TestReplayWitness:
     def test_bad_position_rejected(self, four_voter):
@@ -252,6 +279,15 @@ class TestBudget:
         c = four_voter.id_of("C")
         assert el.carroll_score(four_voter, c, budget=50).score == 3
 
+    def test_all_winners_fits_the_sum_of_its_scores(self, four_voter):
+        # C and D store 8 states each, P none, and all_winners the sum
+        least = [least_budget(lambda b: el.carroll_score(four_voter, c, b)) for c in range(3)]
+        assert least == [8, 8, 0]
+        assert el.all_winners(four_voter, 16) == {four_voter.id_of("P")}
+        with pytest.raises(BudgetExceededError) as info:
+            el.all_winners(four_voter, 15)
+        assert (info.value.what, info.value.budget) == ("Carroll score", 15)
+
 
 class TestScoreAtMost:
     def test_golden_thresholds(self, four_voter):
@@ -275,6 +311,12 @@ class TestWinners:
         with pytest.raises(ValueError):
             el.ties_or_defeats(four_voter, c, c)
 
+    def test_ties_or_defeats_checks_ids_before_the_pair(self, four_voter):
+        # as defeats does: an id outside the election is named even when c == d
+        for call in (el.ties_or_defeats, el.defeats):
+            with pytest.raises(ValueError, match="^no candidate with id 7$"):
+                call(four_voter, 7, 7)
+
     def test_is_carroll_winner(self, four_voter):
         assert el.is_carroll_winner(four_voter, four_voter.id_of("P"))
         assert not el.is_carroll_winner(four_voter, four_voter.id_of("C"))
@@ -293,10 +335,21 @@ class TestWinners:
         assert el.all_winners(e) == {0}
 
 
-def small_elections(max_candidates=3, max_voters=3):
+def least_budget(call) -> int:
+    """The least budget from 0 up at which `call(budget)` runs out of none."""
+    budget = 0
+    while True:
+        try:
+            call(budget)
+            return budget
+        except BudgetExceededError:
+            budget += 1
+
+
+def small_elections(max_candidates=3, max_voters=3, min_candidates=1):
     @st.composite
     def build(draw):
-        m = draw(st.integers(1, max_candidates))
+        m = draw(st.integers(min_candidates, max_candidates))
         n = draw(st.integers(1, max_voters))
         base = tuple(range(m))
         rankings = [draw(st.permutations(base)) for _ in range(n)]
@@ -307,6 +360,27 @@ def small_elections(max_candidates=3, max_voters=3):
         )
 
     return build()
+
+
+def small_graphs(max_n=6):
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(0, max_n))
+        pairs = list(itertools.combinations(range(n), 2))
+        return Graph(n, [p for p in pairs if draw(st.booleans())])
+
+    return build()
+
+
+@given(small_elections(max_candidates=4, max_voters=4, min_candidates=3),
+       small_graphs(), small_graphs())
+@settings(deadline=None, max_examples=40)
+def test_a_call_fits_the_sum_of_its_solves(e, g, h):
+    """A call of several exact solves shares one budget among them."""
+    scores = [least_budget(lambda b: el.carroll_score(e, c, b)) for c in range(e.num_candidates)]
+    assert least_budget(lambda b: el.all_winners(e, b)) == sum(scores)
+    alphas = [least_budget(lambda b: gr.independence_number(x, b)) for x in (g, h)]
+    assert least_budget(lambda b: red.same_independence_number(g, h, b)) == sum(alphas)
 
 
 @given(small_elections())

@@ -15,8 +15,18 @@ from dodgreedy import formats
 from dodgreedy import graphs as gr
 from dodgreedy import oracles
 from dodgreedy import reductions as red
-from dodgreedy.errors import BudgetExceededError
+from dodgreedy.errors import BudgetExceededError, _Ledger
 from dodgreedy.graphs import Graph, GreedyTrace
+
+
+def spent(ledger: _Ledger) -> int:
+    """The states charged to a ledger so far."""
+    return ledger.budget - ledger.left
+
+
+def solver_on(g, cls=gr._GreedySolver):
+    """A greedy solver of class `cls` on g, with a ledger of the default budget."""
+    return cls(g, _Ledger(gr.DEFAULT_BUDGET))
 
 
 def graph_strategy(max_n=7):
@@ -407,21 +417,21 @@ class TestGreedyIndependenceNumber:
         # (triangle-free) graph, whose alpha needs 5 states; at a budget of 4
         # the probe stores one and overflows on the next.  The probe never
         # finished (its memo lacks the whole graph), so the error came from
-        # inside it, and it names the greedy search that owns the count.
-        solver = gr._GreedySolver(petersen(), 4)
+        # inside it, and it names the running step, the greedy search.
+        ledger = _Ledger(4, "best greedy value")
+        solver = gr._GreedySolver(petersen(), ledger)
         full = (1 << 10) - 1
         with pytest.raises(BudgetExceededError) as exc:
             solver.solve(full)
         assert (exc.value.what, exc.value.budget) == ("best greedy value", 4)
-        assert solver.stored == 4
+        assert ledger.left == 0
         assert (len(solver.cache) - 1, len(solver.mis.cache) - 1) == (3, 1)
         assert full not in solver.mis.cache
-        assert solver.mis.stored == 0  # the probe's states were the greedy search's
 
-    # A probe charges its states to the greedy search it names as owner, so
-    # they land in the greedy count and never in the alpha solver's; alpha
-    # solved first on the same solver keeps its states in its own count,
-    # and its memo spares the probes.
+    # A probe charges its states to the ledger the greedy search and its
+    # alpha solver share, so they add to the greedy search's own; alpha
+    # solved first on the same solver is charged there too, and its memo
+    # spares the probes.
     @pytest.mark.parametrize(
         "g, own, probed, alpha_states, probed_after_alpha",
         [
@@ -430,20 +440,19 @@ class TestGreedyIndependenceNumber:
         ],
         ids=["Petersen", "artifact(P3,K2)"],
     )
-    def test_probe_states_go_to_the_owner(self, g, own, probed, alpha_states, probed_after_alpha):
+    def test_probe_states_go_to_the_ledger(self, g, own, probed, alpha_states, probed_after_alpha):
         full = (1 << g.n) - 1
-        solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        solver = solver_on(g)
         solver.solve(full)
         assert len(solver.cache) - 1 == own
-        assert (solver.stored, solver.mis.stored) == (own + probed, 0)
+        assert spent(solver.ledger) == own + probed
 
-        solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        solver = solver_on(g)
         solver.mis.solve(full)
-        assert solver.mis.stored == alpha_states
+        assert spent(solver.ledger) == alpha_states
         solver.solve(full)
         assert len(solver.cache) - 1 == own
-        assert solver.mis.stored == alpha_states
-        assert solver.stored == own + probed_after_alpha
+        assert spent(solver.ledger) == alpha_states + own + probed_after_alpha
 
     def test_finished_solvers_are_freed_at_once(self):
         # no reference cycle between a greedy search and its alpha memo, so
@@ -451,9 +460,9 @@ class TestGreedyIndependenceNumber:
         g = red.build_reduction(Graph.path(3), Graph.complete(2)).graph
         gc.disable()
         try:
-            solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+            solver = solver_on(g)
             solver.solve((1 << g.n) - 1)
-            assert solver.stored > len(solver.cache) - 1  # probes ran
+            assert spent(solver.ledger) > len(solver.cache) - 1  # probes ran
             refs = weakref.ref(solver), weakref.ref(solver.mis)
             del solver
             assert [r() for r in refs] == [None, None]
@@ -461,12 +470,12 @@ class TestGreedyIndependenceNumber:
             gc.enable()
 
     # The paired solve of achieves_ratio and misses_ratio first solves alpha
-    # on the greedy search's own alpha solver, against the budget, then the
-    # greedy search, whose own and probe states count against a budget of
-    # its own.
+    # on the greedy search's own alpha solver, then the greedy search, whose
+    # own and probe states follow alpha's on the one ledger: the pair fits
+    # the sum of the two counts.
     # Petersen: alpha 5, then greedy 4 (the memo holds the whole graph, so
-    # nothing is probed), so no budget runs out in greedy first.  The
-    # artifact: alpha 20, then greedy 115 + 2 probe states.
+    # nothing is probed), so the pair fits 9 and runs out in greedy at 8 and
+    # in alpha at 4; the artifact: alpha 20, then greedy 115 + 2 probe states.
     @pytest.mark.parametrize(
         "g, alpha_states, greedy_states",
         [
@@ -476,32 +485,21 @@ class TestGreedyIndependenceNumber:
         ids=["Petersen", "artifact(P3,K2)"],
     )
     def test_paired_budget_edges(self, g, alpha_states, greedy_states):
+        total = alpha_states + greedy_states
         for solve in (
-            gr._alpha_and_greedy,
+            lambda g, budget: gr._alpha_and_greedy(g, _Ledger(budget)),
             lambda g, budget: gr.achieves_ratio(g, 1, budget),
             lambda g, budget: oracles.misses_ratio(g, 1, budget),
         ):
-            solve(g, max(alpha_states, greedy_states))
-            edges = [(alpha_states - 1, "independence number")]
-            if greedy_states > alpha_states:
-                edges.append((greedy_states - 1, "best greedy value"))
-            for budget, what in edges:
+            solve(g, total)
+            for budget, what in (
+                (alpha_states - 1, "independence number"),
+                (alpha_states, "best greedy value"),
+                (total - 1, "best greedy value"),
+            ):
                 with pytest.raises(BudgetExceededError) as exc:
                     solve(g, budget)
                 assert (exc.value.what, exc.value.budget) == (what, budget)
-        # the greedy count alone, after alpha filled the memo within its own
-        full = (1 << g.n) - 1
-
-        def handoff(budget):
-            solver = gr._GreedySolver(g, budget)
-            solver.mis.budget = alpha_states
-            solver.mis.solve(full)
-            return solver.solve(full)
-
-        handoff(greedy_states)
-        with pytest.raises(BudgetExceededError) as exc:
-            handoff(greedy_states - 1)
-        assert (exc.value.what, exc.value.budget) == ("best greedy value", greedy_states - 1)
 
     @pytest.mark.parametrize(
         "g",
@@ -514,13 +512,13 @@ class TestGreedyIndependenceNumber:
         # open picks still applied; the next root solve rebuilds them, so
         # the search goes on to the fresh value through the fresh states
         full = (1 << g.n) - 1
-        fresh = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        fresh = solver_on(g)
         value = fresh.solve(full)
-        for budget in range(2, fresh.stored, 3):
-            solver = gr._GreedySolver(g, budget)
+        for budget in range(2, spent(fresh.ledger), 3):
+            solver = gr._GreedySolver(g, _Ledger(budget))
             with pytest.raises(BudgetExceededError):
                 solver.solve(full)
-            solver.budget = gr.DEFAULT_BUDGET
+            solver.ledger.left = gr.DEFAULT_BUDGET
             assert solver.solve(full) == value
             assert solver.cache.keys() == fresh.cache.keys()
 
@@ -530,10 +528,11 @@ class TestGreedyIndependenceNumber:
                              ids=["P299^2", "P3000"])
     def test_greedy_states_after_alpha(self, g, states):
         full = (1 << g.n) - 1
-        solver = gr._GreedySolver(g, gr.DEFAULT_BUDGET)
+        solver = solver_on(g)
         solver.mis.solve(full)
+        alpha_states = spent(solver.ledger)
         assert solver.solve(full) == states
-        assert solver.stored == len(solver.cache) - 1 == states
+        assert spent(solver.ledger) - alpha_states == len(solver.cache) - 1 == states
 
     def test_long_path_needs_no_recursion(self):
         """The solvers run at the interpreter's default recursion limit and
@@ -562,10 +561,10 @@ class RescanGreedy(gr._Search):
 
     what = "best greedy value"
 
-    def __init__(self, g, budget):
-        super().__init__(g, budget)
+    def __init__(self, g, ledger):
+        super().__init__(g, ledger)
         self.g = g
-        self.mis = gr._MisSolver(g, budget)
+        self.mis = gr._MisSolver(g, ledger)
 
     def _value(self, mask, parent):
         adj = self.adj
@@ -582,7 +581,7 @@ class RescanGreedy(gr._Search):
             if bound is None:
                 bound = gr._clique_cover_size(adj, mask)
                 if best < bound and gr._is_triangle_free(adj, mask):
-                    bound = self.mis.solve(mask, self)
+                    bound = self.mis.solve(mask)
             for v in ties:
                 if best >= bound:
                     break
@@ -622,17 +621,17 @@ def carried_degree_corpus():
 def test_carried_degrees_store_the_rescan_states(after_alpha):
     for g in carried_degree_corpus():
         full = (1 << g.n) - 1
-        solvers = gr._GreedySolver(g, gr.DEFAULT_BUDGET), RescanGreedy(g, gr.DEFAULT_BUDGET)
+        solvers = solver_on(g), solver_on(g, RescanGreedy)
         if after_alpha:
             for solver in solvers:
                 solver.mis.solve(full)
         carried, rescan = solvers
         assert carried.solve(full) == rescan.solve(full), g
-        assert carried.stored == rescan.stored, g
+        assert carried.ledger.left == rescan.ledger.left, g
         assert carried.cache.keys() == rescan.cache.keys(), g
         assert carried.mis.cache.keys() == rescan.mis.cache.keys(), g
         assert carried.picks(full) == rescan.picks(full), g
-        assert carried.stored == rescan.stored, g
+        assert carried.ledger.left == rescan.ledger.left, g
 
 
 class TestGreedyReaches:

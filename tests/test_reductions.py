@@ -224,21 +224,24 @@ class TestVerifyReduction:
         assert info.value.what  # names the failing subcomputation
 
     def test_budget_overrun_names_artifact_solves(self):
-        # alpha(Ghat) stores 5 states here; mdg(Ghat), bounded by its memo, 13
-        for budget, step in ((4, "alpha(Ghat)"), (12, "mdg(Ghat)")):
+        # One ledger holds every step's states.  Here the ten steps before
+        # Ghat store one state each, alpha(Ghat) 5 and mdg(Ghat), bounded by
+        # alpha's memo, 13: 28 in all.
+        for budget, step in ((10, "alpha(Ghat)"), (14, "alpha(Ghat)"), (27, "mdg(Ghat)")):
             with pytest.raises(BudgetExceededError) as info:
                 red.verify_reduction(Graph(1), Graph(1), budget=budget)
             assert (info.value.what, info.value.budget) == (step, budget)
-        assert red.verify_reduction(Graph(1), Graph(1), budget=13).passed
+        assert red.verify_reduction(Graph(1), Graph(1), budget=28).passed
 
     def test_budget_overrun_inside_a_probe_names_mdg(self):
-        # For (K2, Graph(1)) every step before it fits 5 states.  G' (the
-        # 32-vertex double subdivision of the padded K2) needs 3 alpha states,
-        # then greedy stores 5 states of its own and probes a triangle-free
-        # residual that alpha's memo lacks; the probe's first state overflows
+        # For (K2, Graph(1)) the four steps before G' store one state each.
+        # G' (the 32-vertex double subdivision of the padded K2) needs 3
+        # alpha states, then greedy stores 5 states of its own and probes a
+        # triangle-free residual that alpha's memo lacks; at 4 + 3 + 5 = 12
+        # the probe's first state overflows.
         with pytest.raises(BudgetExceededError) as info:
-            red.verify_reduction(Graph.complete(2), Graph(1), budget=5)
-        assert (info.value.what, info.value.budget) == ("mdg(G')", 5)
+            red.verify_reduction(Graph.complete(2), Graph(1), budget=12)
+        assert (info.value.what, info.value.budget) == ("mdg(G')", 12)
 
     def test_report_carries_the_built_artifact(self):
         for g, h in ((Graph(1), Graph.empty(2)), (Graph.path(3), Graph.complete(2))):
